@@ -52,13 +52,15 @@ from .vecstore import (
     DumpHeader,
     IndexSpec,
     Neighbor,
-    ReprRecord,
     build_datastore,
+    context_rows,
     load_datastore,
+    make_records,
     merge_datastores,
     provenance_stats,
     query,
     read_dump,
+    record_dtype,
     save_datastore,
     write_dump,
 )

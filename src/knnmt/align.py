@@ -20,7 +20,7 @@ from .errors import (
     EmptyPairsError,
     SingularSystemError,
 )
-from .vecstore import Datastore, check_lang_code, _read_exact
+from .vecstore import Datastore, check_lang_code, context_rows, _read_exact
 
 KLM_MAGIC = b"KLM1\x00\x00"
 
@@ -77,9 +77,10 @@ def extract_training_pairs(store1: Datastore, store2: Datastore,
     """Pair contexts from two single-language stores over aligned sentences.
 
     ``alignment`` maps sentence ids in store1 to sentence ids in store2 that
-    share the same target sentence. Sentences whose decodes have different
-    lengths are dropped; within a kept sentence, a row pair is emitted for
-    every timestep where both stores hold the same target token.
+    share the same target sentence; ids a store does not hold are skipped.
+    Sentences whose decodes have different lengths are dropped; within a kept
+    sentence, a row pair is emitted for every timestep where both stores hold
+    the same target token. Pairs follow the alignment order, then timesteps.
     """
     for store in (store1, store2):
         if len(store.lang_codes) != 1:
@@ -87,45 +88,39 @@ def extract_training_pairs(store1: Datastore, store2: Datastore,
     if store1.dim != store2.dim:
         raise DimensionMismatchError(
             f"stores disagree on dimension: {store1.dim} vs {store2.dim}")
-    by_sentence1 = _entries_by_sentence(store1)
-    by_sentence2 = _entries_by_sentence(store2)
-    src_rows: list[np.ndarray] = []
-    tgt_rows: list[np.ndarray] = []
-    for sid1, sid2 in alignment:
-        ent1 = by_sentence1.get(int(sid1))
-        ent2 = by_sentence2.get(int(sid2))
-        if ent1 is None or ent2 is None:
+    keys1, rows1 = context_rows(store1.sentence_ids, store1.timesteps)
+    keys2, rows2 = context_rows(store2.sentence_ids, store2.timesteps)
+    sids = np.array([(a, b) for a, b in alignment if 0 <= a < 2**32 and 0 <= b < 2**32],
+                    dtype=np.int64).reshape(-1, 2)
+    spans1 = np.searchsorted(keys1, [sids[:, 0] << 16, (sids[:, 0] + 1) << 16]).T
+    spans2 = np.searchsorted(keys2, [sids[:, 1] << 16, (sids[:, 1] + 1) << 16]).T
+    picks1 = [np.empty(0, dtype=np.int64)]
+    picks2 = [np.empty(0, dtype=np.int64)]
+    for (lo1, hi1), (lo2, hi2) in zip(spans1, spans2):
+        if lo1 == hi1 or lo2 == hi2:  # sentence absent from a store
             continue
-        if sorted(ent1) != sorted(ent2):  # timestep sets must match exactly
+        # timestep sets must match exactly
+        if not np.array_equal(keys1[lo1:hi1] & 0xFFFF, keys2[lo2:hi2] & 0xFFFF):
             continue
-        for t in sorted(ent1):
-            tok1, row1 = ent1[t]
-            tok2, row2 = ent2[t]
-            if tok1 == tok2:
-                src_rows.append(store1.keys[row1])
-                tgt_rows.append(store2.keys[row2])
-    if not src_rows:
+        r1, r2 = rows1[lo1:hi1], rows2[lo2:hi2]
+        same = store1.token_ids[r1] == store2.token_ids[r2]
+        picks1.append(r1[same])
+        picks2.append(r2[same])
+    src, tgt = np.concatenate(picks1), np.concatenate(picks2)
+    if not src.size:
         raise EmptyPairsError("alignment produced no paired contexts")
     return PairedContexts(
-        rows_src=np.vstack(src_rows).astype(np.float64),
-        rows_tgt=np.vstack(tgt_rows).astype(np.float64),
+        rows_src=store1.keys[src].astype(np.float64),
+        rows_tgt=store2.keys[tgt].astype(np.float64),
         src_lang=store1.lang_codes[0],
         tgt_lang=store2.lang_codes[0],
     )
 
 
-def _entries_by_sentence(store: Datastore) -> dict[int, dict[int, tuple[int, int]]]:
-    out: dict[int, dict[int, tuple[int, int]]] = {}
-    for i in range(len(store)):
-        sid = int(store.sentence_ids[i])
-        out.setdefault(sid, {})[int(store.timesteps[i])] = (int(store.token_ids[i]), i)
-    return out
-
-
 def fit_linear_map(pairs: PairedContexts, ridge: float | None = None) -> LinearMap:
     """Least-squares fit of A minimizing sum ||tgt_i - A src_i||^2 (+ ridge).
 
-    ``ridge=None`` picks a tiny default (1e-6 * trace(X'X)/d) that keeps small
+    ``ridge=None`` picks a tiny default (1e-10 * trace(X'X)/d) that keeps small
     synthetic systems well-posed without measurably moving the solution; an
     explicit 0.0 solves the plain normal equations and raises
     SingularSystemError on rank deficiency.

@@ -2,8 +2,10 @@
 
 Every run is deterministic given its inputs and seed and emits a JSON run
 manifest (``<output>.run.json`` unless overridden) recording the config,
-seed, timings, and throughput. Exit codes: 0 success, 2 input error,
-3 incompatibility, 4 internal invariant violation.
+seed, timings, and throughput. Each ``cmd_*`` returns its default manifest
+path and its result fields; ``main`` times the call and writes the manifest.
+Exit codes: 0 success, 2 input error, 3 incompatibility, 4 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -106,23 +109,24 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _write_manifest(path: str | None, default: str | None, payload: dict) -> None:
-    target = path or default
+def _write_manifest(args: argparse.Namespace, default: str | None, fields: dict) -> None:
+    """Write the run manifest (subcommand, config, seed, then ``fields``).
+
+    ``--manifest`` overrides the command's default path; with neither, no
+    manifest is written.
+    """
+    target = args.manifest or default
     if target is None:
         return
-    with open(target, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=str)
-        f.write("\n")
-
-
-def _manifest_payload(args: argparse.Namespace, **extra) -> dict:
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "manifest", "config")}
     payload = {"subcommand": args.func.__name__.removeprefix("cmd_").replace("_", "-"),
                "config": config,
-               "seed": getattr(args, "seed", None)}
-    payload.update(extra)
-    return payload
+               "seed": getattr(args, "seed", None),
+               **fields}
+    with open(target, "w", encoding="utf-8") as f:
+        json.dump(payload, f, indent=2, sort_keys=True, default=str)
+        f.write("\n")
 
 
 def _load_model(args) -> tuple[Vocabulary, decode.ToyBaseModel]:
@@ -136,7 +140,7 @@ def _load_model(args) -> tuple[Vocabulary, decode.ToyBaseModel]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_toy(args) -> int:
+def cmd_gen_toy(args) -> tuple[str | None, dict]:
     spec = toygen.ToySpec(
         langs=tuple(args.langs.split(",")),
         tgt_lang=args.tgt,
@@ -148,22 +152,16 @@ def cmd_gen_toy(args) -> int:
         coverage=args.coverage,
         seed=args.seed,
     )
-    started = time.perf_counter()
-    data = toygen.generate(spec)
-    paths = toygen.write_dataset(data, args.out)
-    elapsed = time.perf_counter() - started
-    _write_manifest(args.manifest, os.path.join(args.out, "gen-toy.run.json"),
-                    _manifest_payload(args, elapsed_seconds=elapsed, outputs=paths))
+    paths = toygen.write_dataset(toygen.generate(spec), args.out)
     print(f"generated {len(spec.langs)} languages x {spec.n_train} sentences "
           f"under {args.out}")
-    return EXIT_OK
+    return os.path.join(args.out, "gen-toy.run.json"), {"outputs": paths}
 
 
-def cmd_build(args) -> int:
-    started = time.perf_counter()
+def cmd_build(args) -> tuple[str | None, dict]:
     if args.dump:
         header, records = vecstore.read_dump(args.dump)
-        dim, vocab_size = header.dim, header.vocab_size
+        vocab_size, lang = header.vocab_size, header.lang
         source_desc = args.dump
     else:
         for flag in ("train_src", "train_tgt", "vocab", "src_lang"):
@@ -173,44 +171,32 @@ def cmd_build(args) -> int:
                     "(--train-src/--train-tgt/--vocab/--src-lang)")
         vocab, model = _load_model(args)
         pairs = encode_pairs(load_parallel(args.train_src, args.train_tgt), vocab)
-        records = []
-        for sid, (src, tgt) in enumerate(pairs):
-            records.extend(decode.trajectory_records(model, src, tgt, sid,
-                                                     args.src_lang))
-        dim, vocab_size = args.dim, len(vocab)
+        records = np.concatenate([decode.trajectory_records(model, src, tgt, sid)
+                                  for sid, (src, tgt) in enumerate(pairs)])
+        vocab_size, lang = len(vocab), args.src_lang
         source_desc = f"{args.train_src} -> {args.train_tgt}"
         if args.emit_dump:
             vecstore.write_dump(args.emit_dump,
-                                vecstore.DumpHeader(dim, vocab_size, args.src_lang),
-                                records)
+                                vecstore.DumpHeader(args.dim, vocab_size, lang), records)
     store = vecstore.build_datastore(
-        records, dim, vocab_size, index_kind=args.index,
+        records, vocab_size, lang, index_kind=args.index,
         index_params={"n_cells": args.cells, "n_probe": args.probe})
     vecstore.save_datastore(store, args.out,
                             manifest={"tokenizer": "whitespace", "corpus": source_desc})
-    elapsed = time.perf_counter() - started
-    _write_manifest(args.manifest, args.out + ".run.json",
-                    _manifest_payload(args, elapsed_seconds=elapsed,
-                                      entry_count=len(store), dim=store.dim,
-                                      languages=store.languages))
     print(f"built datastore {args.out}: {len(store)} entries, d={store.dim}")
-    return EXIT_OK
+    return args.out + ".run.json", {"entry_count": len(store), "dim": store.dim,
+                                    "languages": store.languages}
 
 
-def cmd_merge(args) -> int:
-    started = time.perf_counter()
+def cmd_merge(args) -> tuple[str | None, dict]:
     stores = [vecstore.load_datastore(p) for p in args.stores]
     merged = vecstore.merge_datastores(stores)
     vecstore.save_datastore(merged, args.out,
                             manifest={"tokenizer": "whitespace",
                                       "corpus": f"merge of {len(stores)} stores"})
-    elapsed = time.perf_counter() - started
-    _write_manifest(args.manifest, args.out + ".run.json",
-                    _manifest_payload(args, elapsed_seconds=elapsed,
-                                      entry_count=len(merged),
-                                      languages=merged.languages))
     print(f"merged {len(stores)} stores into {args.out}: {len(merged)} entries")
-    return EXIT_OK
+    return args.out + ".run.json", {"entry_count": len(merged),
+                                    "languages": merged.languages}
 
 
 def _read_alignment(path: str) -> list[tuple[int, int]]:
@@ -227,41 +213,31 @@ def _read_alignment(path: str) -> list[tuple[int, int]]:
     return rows
 
 
-def cmd_map_fit(args) -> int:
-    started = time.perf_counter()
+def cmd_map_fit(args) -> tuple[str | None, dict]:
     src_store = vecstore.load_datastore(args.src_store)
     tgt_store = vecstore.load_datastore(args.tgt_store)
     pairs = align.extract_training_pairs(src_store, tgt_store,
                                          _read_alignment(args.alignment))
     lin_map = align.fit_linear_map(pairs, ridge=args.ridge)
     align.save_linear_map(lin_map, args.out)
-    elapsed = time.perf_counter() - started
-    _write_manifest(args.manifest, args.out + ".run.json",
-                    _manifest_payload(args, elapsed_seconds=elapsed,
-                                      n_pairs=len(pairs), ridge=lin_map.ridge,
-                                      residual=lin_map.residual))
     print(f"fitted {lin_map.source_lang}->{lin_map.target_lang} map on "
           f"{len(pairs)} pairs (residual {lin_map.residual:.6g})")
-    return EXIT_OK
+    return args.out + ".run.json", {"n_pairs": len(pairs), "ridge": lin_map.ridge,
+                                    "residual": lin_map.residual}
 
 
-def cmd_map_apply(args) -> int:
-    started = time.perf_counter()
+def cmd_map_apply(args) -> tuple[str | None, dict]:
     store = vecstore.load_datastore(args.store)
     lin_map = align.load_linear_map(args.map)
     mapped = align.map_datastore(store, lin_map)
     vecstore.save_datastore(mapped, args.out,
                             manifest={"tokenizer": "whitespace",
                                       "corpus": f"{args.store} via {args.map}"})
-    elapsed = time.perf_counter() - started
-    _write_manifest(args.manifest, args.out + ".run.json",
-                    _manifest_payload(args, elapsed_seconds=elapsed,
-                                      entry_count=len(mapped)))
     print(f"mapped {len(mapped)} keys into {args.out}")
-    return EXIT_OK
+    return args.out + ".run.json", {"entry_count": len(mapped)}
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> tuple[str | None, dict]:
     vocab, model = _load_model(args)
     store = None
     if args.store:
@@ -296,17 +272,15 @@ def cmd_translate(args) -> int:
     with open(args.output, "w", encoding="utf-8") as f:
         for out in outputs:
             f.write(" ".join(vocab.decode(out)) + "\n")
-    tokens_per_sec = token_count / elapsed if elapsed > 0 else None
-    _write_manifest(args.manifest, args.output + ".run.json",
-                    _manifest_payload(args, elapsed_seconds=elapsed,
-                                      sentences=len(outputs),
-                                      tokens_decoded=token_count,
-                                      tokens_per_sec=tokens_per_sec))
     print(f"translated {len(outputs)} sentences into {args.output}")
-    return EXIT_OK
+    # decode-only timing: model and store loading and the warm-up are excluded
+    return args.output + ".run.json", {
+        "elapsed_seconds": elapsed, "sentences": len(outputs),
+        "tokens_decoded": token_count,
+        "tokens_per_sec": token_count / elapsed if elapsed > 0 else None}
 
 
-def cmd_bleu(args) -> int:
+def cmd_bleu(args) -> tuple[str | None, dict]:
     hyps = read_sentences(args.hyp)
     refs = read_sentences(args.ref)
     result = mteval.bleu(hyps, refs, smoothing=args.smoothing)
@@ -315,11 +289,8 @@ def cmd_bleu(args) -> int:
     print(f"BLEU = {result.score * factor:.4f} {precisions} "
           f"(BP = {result.brevity_penalty:.4f}, hyp_len = {result.hyp_len}, "
           f"ref_len = {result.ref_len})")
-    _write_manifest(args.manifest, None,
-                    _manifest_payload(args, score=result.score,
-                                      brevity_penalty=result.brevity_penalty,
-                                      precisions=list(result.precisions)))
-    return EXIT_OK
+    return None, {"score": result.score, "brevity_penalty": result.brevity_penalty,
+                  "precisions": list(result.precisions)}
 
 
 @dataclass(frozen=True)
@@ -338,7 +309,7 @@ def bench_step(store: vecstore.Datastore, q: np.ndarray, k: int,
 
 
 def benchmark_stores(stores: list[vecstore.Datastore],
-                     queries: list[np.ndarray], k: int,
+                     queries: Sequence[np.ndarray], k: int,
                      warmup: int = 1) -> tuple[list[BenchRow], bool]:
     """Throughput per store, plus whether speed strictly falls as size grows.
 
@@ -368,11 +339,10 @@ def benchmark_stores(stores: list[vecstore.Datastore],
     return rows, monotone
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[str | None, dict]:
     stores = [vecstore.load_datastore(p) for p in args.stores]
-    header, records = vecstore.read_dump(args.queries)
-    queries = [r.vector for r in records]
-    rows, monotone = benchmark_stores(stores, queries, args.k, warmup=args.warmup)
+    _, records = vecstore.read_dump(args.queries)
+    rows, monotone = benchmark_stores(stores, records["vec"], args.k, warmup=args.warmup)
     lines = ["entries\ttokens_per_sec\tindex"]
     lines += [f"{r.entries}\t{r.tokens_per_sec:.2f}\t{r.index_kind}" for r in rows]
     lines.append(f"# monotonic_speedup={'true' if monotone else 'false'}")
@@ -381,19 +351,15 @@ def cmd_bench(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(table)
-    _write_manifest(args.manifest, (args.out + ".run.json") if args.out else None,
-                    _manifest_payload(
-                        args, monotonic_speedup=monotone,
-                        table=[{"entries": r.entries,
-                                "tokens_per_sec": r.tokens_per_sec,
-                                "index": r.index_kind} for r in rows]))
-    return EXIT_OK
+    return (args.out + ".run.json") if args.out else None, {
+        "monotonic_speedup": monotone,
+        "table": [{"entries": r.entries, "tokens_per_sec": r.tokens_per_sec,
+                   "index": r.index_kind} for r in rows]}
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args) -> tuple[str | None, dict]:
     os.makedirs(args.out, exist_ok=True)
-    dumps: dict[str, list] = {}
+    dumps: dict[str, np.ndarray] = {}
     dim = None
     for path in args.dump:
         header, records = vecstore.read_dump(path)
@@ -472,13 +438,9 @@ def cmd_analyze(args) -> int:
     with open(os.path.join(args.out, "analysis.json"), "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    elapsed = time.perf_counter() - started
-    _write_manifest(args.manifest, os.path.join(args.out, "analyze.run.json"),
-                    _manifest_payload(args, elapsed_seconds=elapsed,
-                                      spearman_rho=rho))
     print(f"analysis reports written under {args.out} "
           f"(spearman rho={rho:.3f} over {n} languages)")
-    return EXIT_OK
+    return os.path.join(args.out, "analyze.run.json"), {"spearman_rho": rho}
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +598,11 @@ def main(argv: list[str] | None = None) -> int:
             if key not in explicit:  # explicit flags beat file values
                 setattr(args, key, value)
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        default_manifest, fields = args.func(args)
+        _write_manifest(args, default_manifest,
+                        {"elapsed_seconds": time.perf_counter() - started, **fields})
+        return EXIT_OK
     except _INCOMPATIBLE as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE

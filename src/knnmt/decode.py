@@ -20,7 +20,7 @@ from .errors import (
     EmptyRetrievalError,
     UntrainedModelError,
 )
-from .vecstore import Datastore, Neighbor, ReprRecord, query
+from .vecstore import Datastore, Neighbor, make_records, query
 
 PROB_FLOOR = 1e-12  # floor before log; keeps zero-support tokens finite
 FEATURE_HASH_SEED = 0x5EED
@@ -209,7 +209,8 @@ class ToyBaseModel:
     (source-bag token, previous token, next token) triples, restricted to
     target tokens that co-occurred with the source bag during training.
     featurize hashes the source bag plus the last two prefix tokens into a
-    fixed-dimension L2-normalized vector. Both are safe for concurrent
+    fixed-dimension vector, L2-normalized unless the signed hashes cancel
+    exactly, in which case it is all-zero. Both are safe for concurrent
     read-only use after construction.
     """
 
@@ -246,6 +247,7 @@ class ToyBaseModel:
 
     def featurize(self, source: Sequence[int],
                   prefix: Sequence[int]) -> np.ndarray:
+        """Hashed context key: unit L2 norm, or all-zero when the hashes cancel."""
         vec = np.zeros(self.dim, dtype=np.float64)
         prev1 = prefix[-1] if len(prefix) >= 1 else BOS_ID
         prev2 = prefix[-2] if len(prefix) >= 2 else BOS_ID
@@ -276,23 +278,13 @@ def toy_base_model(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
 
 
 def trajectory_records(model: BaseModel, source: Sequence[int],
-                       target: Sequence[int], sentence_id: int,
-                       lang: str) -> list[ReprRecord]:
-    """Teacher-forced (featurize, token) pairs for one sentence.
+                       target: Sequence[int], sentence_id: int) -> np.ndarray:
+    """Teacher-forced (featurize, token) pairs for one sentence, as ``record_dtype`` rows.
 
     Emits one record per target position plus the end-of-sequence step, so a
     datastore built from these can reproduce full trajectories at lam=1.
     """
-    records = []
     trajectory = [*target, EOS_ID]
-    prefix = [BOS_ID]
-    for t, token in enumerate(trajectory):
-        records.append(ReprRecord(
-            vector=model.featurize(source, prefix),
-            token_id=int(token),
-            sentence_id=sentence_id,
-            timestep=t,
-            lang=lang,
-        ))
-        prefix.append(int(token))
-    return records
+    prefix = [BOS_ID, *trajectory]
+    vectors = [model.featurize(source, prefix[:t + 1]) for t in range(len(trajectory))]
+    return make_records(vectors, trajectory, sentence_id, np.arange(len(trajectory)))

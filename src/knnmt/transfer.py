@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
     InsufficientDataError,
     NoOverlapError,
 )
-from .vecstore import ReprRecord
+from .vecstore import context_rows, record_dtype
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,32 +37,37 @@ class ContextDumpSet:
 
     Sentences with the same sentence id across languages refer to the same
     target sentence; within a sentence, vectors are keyed by decoding
-    timestep.
+    timestep. When a (sentence, timestep) pair repeats within a language,
+    across ``add_records`` calls too, the last record added wins.
     """
 
     def __init__(self, dim: int, target_lang: str = "en"):
         self.dim = dim
         self.target_lang = target_lang
-        self._dumps: dict[str, dict[int, dict[int, np.ndarray]]] = {}
+        self._records: dict[str, np.ndarray] = {}
+        self._contexts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def languages(self) -> tuple[str, ...]:
-        return tuple(self._dumps)
+        return tuple(self._records)
 
-    def add_records(self, lang: str, records: Iterable[ReprRecord]) -> None:
-        sentences = self._dumps.setdefault(lang, {})
-        for rec in records:
-            vec = np.asarray(rec.vector, dtype=np.float64)
-            if vec.shape != (self.dim,):
-                raise DimensionMismatchError(
-                    f"record has shape {vec.shape}, dump set declares d={self.dim}")
-            sentences.setdefault(rec.sentence_id, {})[rec.timestep] = vec
+    def add_records(self, lang: str, records: np.ndarray) -> None:
+        """Add ``record_dtype`` rows for one language."""
+        if records.dtype != record_dtype(self.dim):
+            raise DimensionMismatchError(
+                f"records have dtype {records.dtype}, dump set declares d={self.dim}")
+        if lang in self._records:
+            records = np.concatenate([self._records[lang], records])
+        self._records[lang] = records
+        self._contexts[lang] = context_rows(records["sid"], records["ts"])
 
-    def sentences(self, lang: str) -> dict[int, dict[int, np.ndarray]]:
+    def contexts(self, lang: str) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted ``(sid << 16) | ts`` keys and the float32 vector of each."""
         try:
-            return self._dumps[lang]
+            keys, rows = self._contexts[lang]
         except KeyError:
             raise ValueError(f"no dump loaded for language {lang!r}") from None
+        return keys, self._records[lang]["vec"][rows]
 
 
 def xsim(dumps: ContextDumpSet, lang1: str, lang2: str,
@@ -74,28 +79,24 @@ def xsim(dumps: ContextDumpSet, lang1: str, lang2: str,
     literal 1/t timestep weighting (t counted from 1) instead of the mean,
     for audit only.
     """
-    sents1 = dumps.sentences(lang1)
-    sents2 = dumps.sentences(lang2)
-    shared = sorted(set(sents1) & set(sents2))
-    if not shared:
+    keys1, vecs1 = dumps.contexts(lang1)
+    keys2, vecs2 = dumps.contexts(lang2)
+    if not np.intersect1d(keys1 >> 16, keys2 >> 16).size:
         raise NoOverlapError(f"{lang1} and {lang2} share no sentences")
-    per_sentence = []
-    for sid in shared:
-        rows1 = sents1[sid]
-        rows2 = sents2[sid]
-        timesteps = sorted(set(rows1) & set(rows2))
-        if not timesteps:
-            continue
-        sims = np.array([cosine(rows1[t], rows2[t]) for t in timesteps])
-        if harmonic_weights:
-            weights = 1.0 / (np.asarray(timesteps, dtype=np.float64) + 1.0)
-            per_sentence.append(float(np.sum(sims * weights)))
-        else:
-            per_sentence.append(float(np.mean(sims)))
-    if not per_sentence:
+    shared, idx1, idx2 = np.intersect1d(keys1, keys2, assume_unique=True,
+                                        return_indices=True)
+    if not shared.size:
         raise NoOverlapError(
             f"{lang1} and {lang2} share sentences but no timesteps")
-    return float(np.mean(per_sentence))
+    rows1 = vecs1[idx1].astype(np.float64)
+    rows2 = vecs2[idx2].astype(np.float64)
+    sims = np.array([cosine(a, b) for a, b in zip(rows1, rows2)])
+    if harmonic_weights:
+        sims = sims * (1.0 / ((shared & 0xFFFF).astype(np.float64) + 1.0))
+    sentence = shared >> 16
+    starts = np.flatnonzero(sentence[1:] != sentence[:-1]) + 1
+    reduce = np.sum if harmonic_weights else np.mean
+    return float(np.mean([float(reduce(part)) for part in np.split(sims, starts)]))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,15 +45,42 @@ def check_lang_code(code: str) -> str:
     return code
 
 
-@dataclass(frozen=True)
-class ReprRecord:
-    """One dumped translation context: a key vector plus its target token."""
+def record_dtype(dim: int) -> np.dtype:
+    """One dumped translation context, laid out as an RDMP1 row.
 
-    vector: np.ndarray
-    token_id: int
-    sentence_id: int
-    timestep: int
-    lang: str
+    ``sid`` is the sentence id, ``ts`` the decoding timestep, ``tok`` the
+    target token and ``vec`` the key vector. Arrays of this dtype carry
+    records from the decoder through dumps and stores to analysis.
+    """
+    return np.dtype([("sid", "<u4"), ("ts", "<u2"), ("tok", "<u4"), ("vec", "<f4", (dim,))])
+
+
+def make_records(vectors, token_ids, sentence_ids, timesteps) -> np.ndarray:
+    """Record rows from columns; a scalar column is broadcast to every row."""
+    vectors = np.asarray(vectors, dtype=np.float32)
+    if vectors.ndim != 2:
+        raise MalformedDumpError(f"record vectors must form a matrix, got {vectors.shape}")
+    records = np.empty(vectors.shape[0], dtype=record_dtype(vectors.shape[1]))
+    records["vec"] = vectors
+    records["tok"] = token_ids
+    records["sid"] = sentence_ids
+    records["ts"] = timesteps
+    return records
+
+
+def context_rows(sentence_ids: np.ndarray,
+                 timesteps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Join key for contexts: one row per (sentence id, timestep) pair.
+
+    Returns the sorted keys ``(sid << 16) | ts`` and, for each key, the
+    index of the row it came from. When a pair occurs more than once, the
+    last row wins.
+    """
+    keys = (sentence_ids.astype(np.int64) << 16) | timesteps
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.append(keys[1:] != keys[:-1], True)
+    return keys[last], order[last]
 
 
 @dataclass(frozen=True)
@@ -221,72 +248,42 @@ class Datastore:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    @property
-    def total(self) -> int:
-        return self.keys.shape[0]
 
-    def record(self, i: int) -> ReprRecord:
-        return ReprRecord(
-            vector=self.keys[i],
-            token_id=int(self.token_ids[i]),
-            sentence_id=int(self.sentence_ids[i]),
-            timestep=int(self.timesteps[i]),
-            lang=self.lang_codes[self.lang_indices[i]],
-        )
-
-    def iter_records(self) -> Iterator[ReprRecord]:
-        return (self.record(i) for i in range(len(self)))
+def _check_columns(dim: int, token_ids: np.ndarray, vocab_size: int, error) -> None:
+    """Raise ``error`` when the dimension or a token id contradicts the header."""
+    if dim < 1:
+        raise error(f"dimension must be positive, got {dim}")
+    if token_ids.size and int(token_ids.max()) >= vocab_size:
+        raise error(f"token id {int(token_ids.max())} outside the vocabulary of {vocab_size}")
 
 
-def build_datastore(records: Iterable[ReprRecord], dim: int, vocab_size: int,
+def build_datastore(records: np.ndarray, vocab_size: int, lang: str,
                     index_kind: str = "exact-scan",
                     index_params: dict | None = None) -> Datastore:
-    """Build a datastore from a record stream, preserving input order.
+    """Build a one-language datastore from ``record_dtype`` rows, keeping their order.
 
-    Raises MalformedDumpError when a record contradicts the declared
-    dimension or vocabulary, EmptyDatastoreError on an empty stream.
+    Raises MalformedDumpError when the records contradict the vocabulary or
+    are not ``record_dtype`` rows, EmptyDatastoreError when there are none.
+    Stores of several languages come from ``merge_datastores``.
     """
-    if dim < 1:
-        raise MalformedDumpError(f"declared dimension must be positive, got {dim}")
-    vectors: list[np.ndarray] = []
-    token_ids: list[int] = []
-    sentence_ids: list[int] = []
-    timesteps: list[int] = []
-    lang_codes: list[str] = []
-    lang_lookup: dict[str, int] = {}
-    lang_indices: list[int] = []
-    for rec in records:
-        vec = np.asarray(rec.vector, dtype=np.float32)
-        if vec.shape != (dim,):
-            raise MalformedDumpError(
-                f"record vector has length {vec.shape}, dump declares d={dim}")
-        if not 0 <= rec.token_id < vocab_size:
-            raise MalformedDumpError(
-                f"token id {rec.token_id} outside declared vocabulary of {vocab_size}")
-        if rec.sentence_id < 0 or rec.timestep < 0:
-            raise MalformedDumpError("sentence_id and timestep must be non-negative")
-        code = check_lang_code(rec.lang)
-        if code not in lang_lookup:
-            lang_lookup[code] = len(lang_codes)
-            lang_codes.append(code)
-        vectors.append(vec)
-        token_ids.append(rec.token_id)
-        sentence_ids.append(rec.sentence_id)
-        timesteps.append(rec.timestep)
-        lang_indices.append(lang_lookup[code])
-    if not vectors:
+    check_lang_code(lang)
+    vec_field = (records.dtype.fields or {}).get("vec")
+    dim = vec_field[0].shape[0] if vec_field else 0
+    if records.dtype != record_dtype(dim):
+        raise MalformedDumpError(f"records have dtype {records.dtype}, not a record dtype")
+    _check_columns(dim, records["tok"], vocab_size, MalformedDumpError)
+    if records.size == 0:
         raise EmptyDatastoreError("dump contains no records")
-    spec = _index_spec(index_kind, index_params, len(vectors))
     return Datastore(
         dim=dim,
         vocab_size=vocab_size,
-        keys=np.vstack(vectors),
-        token_ids=np.asarray(token_ids, dtype=np.uint32),
-        sentence_ids=np.asarray(sentence_ids, dtype=np.uint32),
-        timesteps=np.asarray(timesteps, dtype=np.uint16),
-        lang_codes=tuple(lang_codes),
-        lang_indices=np.asarray(lang_indices, dtype=np.uint16),
-        index_spec=spec,
+        keys=records["vec"].copy(),
+        token_ids=records["tok"].copy(),
+        sentence_ids=records["sid"].copy(),
+        timesteps=records["ts"].copy(),
+        lang_codes=(lang,),
+        lang_indices=np.zeros(records.size, dtype=np.uint16),
+        index_spec=_index_spec(index_kind, index_params, records.size),
     )
 
 
@@ -415,47 +412,39 @@ class DumpHeader:
     lang: str
 
 
-def _dump_record_dtype(dim: int) -> np.dtype:
-    return np.dtype([("sid", "<u4"), ("ts", "<u2"), ("tok", "<u4"), ("vec", "<f4", (dim,))])
-
-
 def _store_record_dtype(dim: int) -> np.dtype:
     return np.dtype([("sid", "<u4"), ("ts", "<u2"), ("tok", "<u4"), ("lang", "<u2"),
                      ("vec", "<f4", (dim,))])
 
 
-def write_dump(path: str | os.PathLike, header: DumpHeader,
-               records: Iterable[ReprRecord]) -> int:
-    """Write records to an RDMP1 file; returns the record count."""
+def write_dump(path: str | os.PathLike, header: DumpHeader, records: np.ndarray) -> int:
+    """Write ``record_dtype`` rows to an RDMP1 file; returns the record count."""
     check_lang_code(header.lang)
-    recs = list(records)
-    arr = np.empty(len(recs), dtype=_dump_record_dtype(header.dim))
-    for i, rec in enumerate(recs):
-        vec = np.asarray(rec.vector, dtype=np.float32)
-        if vec.shape != (header.dim,):
-            raise MalformedDumpError(
-                f"record vector has shape {vec.shape}, dump declares d={header.dim}")
-        arr[i] = (rec.sentence_id, rec.timestep, rec.token_id, vec)
+    if records.dtype != record_dtype(header.dim):
+        raise MalformedDumpError(
+            f"records have dtype {records.dtype}, dump declares d={header.dim}")
     lang_bytes = header.lang.encode("utf-8")
     with open(path, "wb") as f:
         f.write(RDMP_MAGIC)
         f.write(struct.pack("<II", header.dim, header.vocab_size))
         f.write(struct.pack("<I", len(lang_bytes)))
         f.write(lang_bytes)
-        f.write(struct.pack("<Q", len(recs)))
-        f.write(arr.tobytes())
-    return len(recs)
+        f.write(struct.pack("<Q", records.size))
+        f.write(records.tobytes())
+    return records.size
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CorruptFileError(f"truncated while reading {what}")
-    return data
+    """Read exactly n bytes; a size beyond the end of the file is corruption."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CorruptFileError(f"truncated while reading {what}: "
+                               f"needs {n} bytes, {left} left")
+    return f.read(n)
 
 
-def read_dump(path: str | os.PathLike) -> tuple[DumpHeader, list[ReprRecord]]:
-    """Read an RDMP1 file back into records."""
+def read_dump(path: str | os.PathLike) -> tuple[DumpHeader, np.ndarray]:
+    """Read an RDMP1 file as its header and read-only ``record_dtype`` rows."""
     with open(path, "rb") as f:
         if _read_exact(f, len(RDMP_MAGIC), "magic") != RDMP_MAGIC:
             raise CorruptFileError(f"{path}: bad magic, not an RDMP1 dump")
@@ -463,17 +452,10 @@ def read_dump(path: str | os.PathLike) -> tuple[DumpHeader, list[ReprRecord]]:
         (lang_len,) = struct.unpack("<I", _read_exact(f, 4, "header"))
         lang = _read_exact(f, lang_len, "lang code").decode("utf-8")
         (count,) = struct.unpack("<Q", _read_exact(f, 8, "record count"))
-        dtype = _dump_record_dtype(dim)
+        dtype = record_dtype(dim)
         raw = _read_exact(f, count * dtype.itemsize, "records")
-    arr = np.frombuffer(raw, dtype=dtype)
     header = DumpHeader(dim=dim, vocab_size=vocab_size, lang=check_lang_code(lang))
-    records = [
-        ReprRecord(vector=arr["vec"][i].copy(), token_id=int(arr["tok"][i]),
-                   sentence_id=int(arr["sid"][i]), timestep=int(arr["ts"][i]),
-                   lang=lang)
-        for i in range(count)
-    ]
-    return header, records
+    return header, np.frombuffer(raw, dtype=dtype)
 
 
 def _manifest_path(path: str | os.PathLike) -> str:
@@ -511,13 +493,19 @@ def save_datastore(store: Datastore, path: str | os.PathLike,
 
 
 def load_datastore(path: str | os.PathLike) -> Datastore:
-    """Read a KDS1 file; the search index is rebuilt deterministically."""
+    """Read a KDS1 file; the search index is rebuilt deterministically.
+
+    Sizes, the index kind, token ids and the provenance table are checked
+    against the header; any contradiction raises CorruptFileError.
+    """
     with open(path, "rb") as f:
         if _read_exact(f, len(KDS_MAGIC), "magic") != KDS_MAGIC:
             raise CorruptFileError(f"{path}: bad magic, not a KDS1 datastore")
         dim, vocab_size = struct.unpack("<II", _read_exact(f, 8, "header"))
         kind_code, n_cells, n_probe, train_size = struct.unpack(
             "<BIII", _read_exact(f, 13, "index spec"))
+        if kind_code not in (0, 1):
+            raise CorruptFileError(f"{path}: unknown index kind byte {kind_code}")
         (n_langs,) = struct.unpack("<I", _read_exact(f, 4, "provenance table"))
         lang_codes = []
         declared_counts = []
@@ -533,6 +521,7 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     arr = np.frombuffer(raw, dtype=dtype)
     if count == 0:
         raise EmptyDatastoreError(f"{path}: datastore holds no entries")
+    _check_columns(dim, arr["tok"], vocab_size, CorruptFileError)
     lang_indices = arr["lang"].copy()
     if lang_indices.size and int(lang_indices.max()) >= n_langs:
         raise CorruptFileError(f"{path}: entry references an undeclared language")

@@ -28,7 +28,7 @@ from knnmt.vecstore import (
     Datastore,
     IndexSpec,
     Neighbor,
-    ReprRecord,
+    make_records,
     merge_datastores,
     query,
 )
@@ -219,21 +219,21 @@ def test_criterion_7_xsim_rtp_identities():
     dumps = ContextDumpSet(8)
     rows = {}
     for lang in ("aa", "bb"):
-        records = []
+        vectors = []
         for sid in range(6):
             for t in range(4):
                 vec = rng.normal(size=8).astype(np.float32)
                 rows[(lang, sid, t)] = vec
-                records.append(ReprRecord(vec, 0, sid, t, lang))
-        dumps.add_records(lang, records)
+                vectors.append(vec)
+        dumps.add_records(lang, make_records(vectors, 0, np.repeat(np.arange(6), 4),
+                                             np.tile(np.arange(4), 6)))
     assert abs(xsim(dumps, "aa", "aa") - 1.0) <= 1e-9
     scaled = ContextDumpSet(8)
     for lang in ("aa", "bb"):
         factor = 4.0 if lang == "aa" else 1.0  # power of two: exact in f32
-        scaled.add_records(lang, [
-            ReprRecord(rows[(lang, sid, t)] * factor, 0, sid, t, lang)
-            for sid in range(6) for t in range(4)
-        ])
+        scaled.add_records(lang, make_records(
+            [rows[(lang, sid, t)] * factor for sid in range(6) for t in range(4)],
+            0, np.repeat(np.arange(6), 4), np.tile(np.arange(4), 6)))
     assert xsim(scaled, "aa", "bb") == xsim(dumps, "aa", "bb")
     sims = SimilarityMatrix(("aa", "bb"),
                             np.array([[1.0, 0.61], [0.61, 1.0]]))

@@ -17,18 +17,16 @@ from knnmt.errors import (
     EmptyPairsError,
     SingularSystemError,
 )
-from knnmt.vecstore import ReprRecord, build_datastore, query
+from knnmt.vecstore import build_datastore, make_records, merge_datastores, query
 
 
 def sentence_store(lang, sentences, keys_for):
     """Store with one entry per (sentence, timestep); tokens from the sentence."""
-    records = []
-    for sid, tokens in enumerate(sentences):
-        for t, tok in enumerate(tokens):
-            records.append(ReprRecord(vector=keys_for(sid, t, tok), token_id=tok,
-                                      sentence_id=sid, timestep=t, lang=lang))
-    dim = len(keys_for(0, 0, sentences[0][0]))
-    return build_datastore(records, dim, 100)
+    cells = [(sid, t, tok) for sid, tokens in enumerate(sentences)
+             for t, tok in enumerate(tokens)]
+    vectors = [keys_for(sid, t, tok) for sid, t, tok in cells]
+    sids, timesteps, tokens = zip(*cells)
+    return build_datastore(make_records(vectors, tokens, sids, timesteps), 100, lang)
 
 
 def random_rotation(rng, d):
@@ -94,11 +92,21 @@ class TestExtractPairs:
                                        [(i, i) for i in range(len(self.sentences))])
         assert len(pairs) == sum(len(s) for s in self.sentences) - 1
 
+    def test_pairs_follow_alignment_order_and_skip_unknown_ids(self):
+        store1 = sentence_store("aa", self.sentences, self.base_keys())
+        store2 = sentence_store("bb", self.sentences, self.base_keys())
+        alignment = [(2, 2), (-1, 0), (0, 0), (0, 2**64), (99, 1), (1, 1)]
+        pairs = extract_training_pairs(store1, store2, alignment)
+        starts = np.cumsum([0] + [len(s) for s in self.sentences])
+        rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in (2, 0, 1)])
+        assert np.array_equal(pairs.rows_src, store1.keys[rows].astype(np.float64))
+        assert np.array_equal(pairs.rows_tgt, store2.keys[rows].astype(np.float64))
+
     def test_multilingual_store_rejected(self):
         store1 = sentence_store("aa", self.sentences, self.base_keys())
-        records = [ReprRecord(np.zeros(8, dtype=np.float32), 3, 0, 0, lang)
-                   for lang in ("aa", "bb")]
-        mixed = build_datastore(records, 8, 10)
+        mixed = merge_datastores([
+            build_datastore(make_records(np.zeros((1, 8)), 3, 0, 0), 10, lang)
+            for lang in ("aa", "bb")])
         with pytest.raises(ValueError):
             extract_training_pairs(store1, mixed, [(0, 0)])
 
@@ -197,9 +205,8 @@ class TestApply:
 
 class TestMapDatastore:
     def make_store(self, rng, keys, tokens, lang="aa"):
-        records = [ReprRecord(keys[i].astype(np.float32), int(tokens[i]), i, 0, lang)
-                   for i in range(len(keys))]
-        return build_datastore(records, keys.shape[1], 100)
+        records = make_records(keys, tokens, np.arange(len(keys)), 0)
+        return build_datastore(records, 100, lang)
 
     def test_identity_map_is_query_equivalent(self):
         rng = np.random.default_rng(8)

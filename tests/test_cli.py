@@ -1,4 +1,5 @@
 import json
+import struct
 
 import jsonschema
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from knnmt import cli, vecstore
 from knnmt.align import load_linear_map
-from knnmt.vecstore import DumpHeader, ReprRecord, load_datastore, write_dump
+from knnmt.vecstore import DumpHeader, load_datastore, make_records, write_dump
 
 
 def run(*argv):
@@ -78,9 +79,9 @@ class TestBuild:
 
     def test_build_from_dump(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = [ReprRecord(rng.normal(size=8).astype(np.float32),
-                              int(rng.integers(3, 20)), i, 0, "zz")
-                   for i in range(30)]
+        vectors = [rng.normal(size=8).astype(np.float32) for _ in range(30)]
+        records = make_records(vectors, [int(rng.integers(3, 20)) for _ in range(30)],
+                               np.arange(30), 0)
         dump = tmp_path / "z.rdmp"
         write_dump(dump, DumpHeader(8, 20, "zz"), records)
         out = tmp_path / "z.kds"
@@ -212,10 +213,10 @@ class TestBleuCommand:
 
 class TestBench:
     def make_store_file(self, tmp_path, rng, n, name):
-        records = [ReprRecord(rng.normal(size=16).astype(np.float32),
-                              int(rng.integers(3, 30)), i, 0, "xx")
-                   for i in range(n)]
-        store = vecstore.build_datastore(records, 16, 30)
+        vectors = [rng.normal(size=16).astype(np.float32) for _ in range(n)]
+        records = make_records(vectors, [int(rng.integers(3, 30)) for _ in range(n)],
+                               np.arange(n), 0)
+        store = vecstore.build_datastore(records, 30, "xx")
         path = tmp_path / name
         vecstore.save_datastore(store, path)
         return path
@@ -226,8 +227,8 @@ class TestBench:
         large = self.make_store_file(tmp_path, rng, 4000, "large.kds")
         queries = tmp_path / "q.rdmp"
         write_dump(queries, DumpHeader(16, 30, "xx"),
-                   [ReprRecord(rng.normal(size=16).astype(np.float32), 3, i, 0,
-                               "xx") for i in range(30)])
+                   make_records([rng.normal(size=16) for _ in range(30)], 3,
+                                np.arange(30), 0))
         out = tmp_path / "bench.tsv"
         assert run("bench", small, large, "--queries", queries, "-k", "8",
                    "--out", out) == 0
@@ -240,8 +241,7 @@ class TestBench:
         only = self.make_store_file(tmp_path, rng, 100, "only.kds")
         queries = tmp_path / "q.rdmp"
         write_dump(queries, DumpHeader(16, 30, "xx"),
-                   [ReprRecord(rng.normal(size=16).astype(np.float32), 3, 0, 0,
-                               "xx") for _ in range(5)])
+                   make_records([rng.normal(size=16) for _ in range(5)], 3, 0, 0))
         assert run("bench", only, "--queries", queries) == 2
 
 
@@ -320,6 +320,34 @@ class TestExitCodes:
         assert cli.main(["gen-toy", "--out", str(tmp_path / "x"),
                          "--langs", "aa"]) == 4
         assert "internal error" in capsys.readouterr().err
+
+
+class TestOversizedCounts:
+    """A record count beyond the file's length is corruption, not a huge read."""
+
+    @staticmethod
+    def patch_count(path, n_records, itemsize, count):
+        raw = path.read_bytes()
+        at = len(raw) - n_records * itemsize - 8  # u64 count precedes the records
+        path.write_bytes(raw[:at] + struct.pack("<Q", count) + raw[at + 8:])
+
+    @pytest.mark.parametrize("count", [2**40, 2**62])
+    def test_store_count_exits_2(self, tmp_path, capsys, count):
+        path = tmp_path / "s.kds"
+        records = make_records(np.zeros((5, 4)), 1, np.arange(5), 0)
+        vecstore.save_datastore(vecstore.build_datastore(records, 10, "xx"), path)
+        self.patch_count(path, 5, 12 + 4 * 4, count)  # u32 sid, u16 ts, u32 tok, u16 lang
+        assert run("merge", path, "--out", tmp_path / "m.kds") == 2
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [2**40, 2**62])
+    def test_dump_count_exits_2(self, tmp_path, capsys, count):
+        path = tmp_path / "d.rdmp"
+        write_dump(path, DumpHeader(4, 10, "xx"),
+                   make_records(np.zeros((5, 4)), 1, np.arange(5), 0))
+        self.patch_count(path, 5, vecstore.record_dtype(4).itemsize, count)
+        assert run("build", "--dump", path, "--out", tmp_path / "s.kds") == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from knnmt.corpus import BOS_ID, EOS_ID
 from knnmt.decode import (
     KnnConfig,
+    ToyBaseModel,
     decode_beam,
     decode_greedy,
     interpolate,
@@ -170,6 +171,13 @@ class TestToyModel:
         vec = model.featurize([3, 4, 7], [BOS_ID, 5, 6])
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-6)
 
+    def test_featurize_all_zero_when_hashes_cancel(self):
+        # the six signed feature hashes of this context cancel exactly; the key
+        # stays all-zero instead of being divided by a zero norm
+        model = ToyBaseModel(tiny_corpus(), vocab_size=300, dim=64)
+        vec = model.featurize([52, 201, 121], [BOS_ID, 44])
+        assert np.linalg.norm(vec) == 0.0
+
     def test_featurize_collision_rate_under_one_percent(self):
         rng = np.random.default_rng(1)
         model = toy_base_model(tiny_corpus(), vocab_size=2000, dim=64)
@@ -202,10 +210,9 @@ def reference_greedy(model, source, max_len=64):
 
 
 def store_from_corpus(model, pairs, lang="xx"):
-    records = []
-    for sid, (src, tgt) in enumerate(pairs):
-        records.extend(trajectory_records(model, src, tgt, sid, lang))
-    return build_datastore(records, model.dim, model.vocab_size)
+    records = np.concatenate([trajectory_records(model, src, tgt, sid)
+                              for sid, (src, tgt) in enumerate(pairs)])
+    return build_datastore(records, model.vocab_size, lang)
 
 
 def sequence_log_score(model, source, tokens, store, cfg):

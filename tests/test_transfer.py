@@ -22,19 +22,17 @@ from knnmt.transfer import (
     xsim,
     xsim_loss,
 )
-from knnmt.vecstore import ReprRecord
+from knnmt.vecstore import make_records
 
 
 def dump_from_arrays(dim, per_lang):
     """per_lang: lang -> {sentence_id: list of vectors (by timestep)}."""
     dumps = ContextDumpSet(dim)
     for lang, sentences in per_lang.items():
-        records = []
-        for sid, rows in sentences.items():
-            for t, vec in enumerate(rows):
-                records.append(ReprRecord(np.asarray(vec, dtype=np.float32),
-                                          0, sid, t, lang))
-        dumps.add_records(lang, records)
+        cells = [(sid, t, vec) for sid, rows in sentences.items()
+                 for t, vec in enumerate(rows)]
+        sids, timesteps, vectors = zip(*cells)
+        dumps.add_records(lang, make_records(vectors, 0, sids, timesteps))
     return dumps
 
 
@@ -104,13 +102,8 @@ class TestXsim:
     def test_pairs_by_timestep_value_not_position(self):
         dumps = ContextDumpSet(2)
         # aa has timesteps {0, 1}; bb only {1}: the pair must use t=1 of both
-        dumps.add_records("aa", [
-            ReprRecord(np.array([1.0, 0.0], dtype=np.float32), 0, 0, 0, "aa"),
-            ReprRecord(np.array([0.0, 1.0], dtype=np.float32), 0, 0, 1, "aa"),
-        ])
-        dumps.add_records("bb", [
-            ReprRecord(np.array([0.0, 1.0], dtype=np.float32), 0, 0, 1, "bb"),
-        ])
+        dumps.add_records("aa", make_records([[1.0, 0.0], [0.0, 1.0]], 0, 0, [0, 1]))
+        dumps.add_records("bb", make_records([[0.0, 1.0]], 0, 0, [1]))
         assert xsim(dumps, "aa", "bb") == pytest.approx(1.0, abs=1e-9)
 
     def test_no_shared_sentences(self):
@@ -119,6 +112,25 @@ class TestXsim:
         dumps = dump_from_arrays(2, {"aa": a, "bb": b})
         with pytest.raises(NoOverlapError):
             xsim(dumps, "aa", "bb")
+
+    def test_duplicate_context_keeps_last_record(self):
+        dumps = ContextDumpSet(2)
+        dumps.add_records("aa", make_records([[0.0, 1.0], [1.0, 0.0]], 0, 0, [0, 0]))
+        dumps.add_records("bb", make_records([[1.0, 0.0]], 0, 0, [0]))
+        assert xsim(dumps, "aa", "bb") == 1.0
+
+    def test_duplicate_across_add_calls_keeps_last_record(self):
+        dumps = ContextDumpSet(2)
+        dumps.add_records("aa", make_records([[1.0, 0.0], [1.0, 0.0]], 0, 0, [0, 1]))
+        dumps.add_records("aa", make_records([[0.0, 1.0]], 0, 0, [1]))
+        dumps.add_records("bb", make_records([[1.0, 0.0], [1.0, 0.0]], 0, 0, [0, 1]))
+        # t=0 keeps its first vector (cosine 1); t=1 takes the later one (cosine 0)
+        assert xsim(dumps, "aa", "bb") == 0.5
+
+    def test_wrong_dimension_rejected(self):
+        dumps = ContextDumpSet(2)
+        with pytest.raises(DimensionMismatchError):
+            dumps.add_records("aa", make_records([[1.0, 0.0, 0.0]], 0, 0, [0]))
 
     def test_missing_language(self):
         dumps = dump_from_arrays(2, {"aa": {0: [[1.0, 0.0]]}})

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,14 @@ from knnmt.errors import (
 from knnmt.vecstore import (
     DumpHeader,
     IndexSpec,
-    ReprRecord,
     build_datastore,
     load_datastore,
+    make_records,
     merge_datastores,
     provenance_stats,
     query,
     read_dump,
+    record_dtype,
     save_datastore,
     write_dump,
 )
@@ -41,22 +44,17 @@ def make_store(keys, tokens=None, lang="xx", vocab_size=None, **kw):
         tokens = list(range(n))
     if vocab_size is None:
         vocab_size = max(tokens) + 1
-    records = [
-        ReprRecord(vector=keys[i], token_id=int(tokens[i]), sentence_id=i,
-                   timestep=0, lang=lang)
-        for i in range(n)
-    ]
-    return build_datastore(records, d, vocab_size, **kw)
+    return build_datastore(make_records(keys, tokens, np.arange(n), 0), vocab_size,
+                           lang, **kw)
 
 
 def random_store(rng, n, d, langs=("xx",), vocab_size=100, **kw):
+    """Languages take turns over the rows; each one's rows form one build, then merge."""
     keys = rng.normal(size=(n, d)).astype(np.float32)
-    records = [
-        ReprRecord(vector=keys[i], token_id=int(rng.integers(vocab_size)),
-                   sentence_id=i, timestep=0, lang=langs[i % len(langs)])
-        for i in range(n)
-    ]
-    return build_datastore(records, d, vocab_size, **kw)
+    records = make_records(keys, rng.integers(vocab_size, size=n), np.arange(n), 0)
+    stores = [build_datastore(records[i::len(langs)], vocab_size, lang, **kw)
+              for i, lang in enumerate(langs)]
+    return stores[0] if len(stores) == 1 else merge_datastores(stores)
 
 
 class TestBuild:
@@ -66,24 +64,25 @@ class TestBuild:
         assert store.dim == 4
         assert store.languages == {"xx": 3}
 
-    def test_wrong_vector_length_rejected(self):
-        records = [ReprRecord(np.zeros(3, dtype=np.float32), 0, 0, 0, "xx")]
+    def test_wrong_vector_length_rejected(self, tmp_path):
+        # the dimension is declared by a dump header, and checked where it is
+        records = make_records(np.zeros((1, 3)), 0, 0, 0)
         with pytest.raises(MalformedDumpError):
-            build_datastore(records, 4, 10)
+            write_dump(tmp_path / "d.rdmp", DumpHeader(4, 10, "xx"), records)
 
     def test_empty_dump_rejected(self):
         with pytest.raises(EmptyDatastoreError):
-            build_datastore([], 4, 10)
+            build_datastore(np.empty(0, dtype=record_dtype(4)), 10, "xx")
 
     def test_token_outside_vocab_rejected(self):
-        records = [ReprRecord(np.zeros(4, dtype=np.float32), 11, 0, 0, "xx")]
+        records = make_records(np.zeros((1, 4)), 11, 0, 0)
         with pytest.raises(MalformedDumpError):
-            build_datastore(records, 4, 10)
+            build_datastore(records, 10, "xx")
 
     def test_bad_lang_code_rejected(self):
-        records = [ReprRecord(np.zeros(4, dtype=np.float32), 0, 0, 0, "XX")]
+        records = make_records(np.zeros((1, 4)), 0, 0, 0)
         with pytest.raises(MalformedDumpError):
-            build_datastore(records, 4, 10)
+            build_datastore(records, 10, "XX")
 
     def test_scaled_published_shape(self):
         # 1/1000-scale counts shaped like a real low-resource/high-resource pair
@@ -99,11 +98,10 @@ class TestQuery:
     def test_self_retrieval_distance_zero(self):
         rng = np.random.default_rng(0)
         store = random_store(rng, 50, 8)
-        target = store.record(17)
         result = query(store, store.keys[17], 3)
         assert result[0].entry_index == 17
         assert result[0].distance == 0.0
-        assert result[0].token_id == target.token_id
+        assert result[0].token_id == store.token_ids[17]
 
     def test_equidistant_lower_index_wins(self):
         keys = np.zeros((4, 4), dtype=np.float32)
@@ -254,9 +252,9 @@ class TestProvenance:
         rng = np.random.default_rng(13)
         near = rng.normal(scale=0.1, size=(90, 8)).astype(np.float32)
         far = (rng.normal(scale=0.1, size=(10, 8)) + 100.0).astype(np.float32)
-        records = [ReprRecord(near[i], 0, i, 0, "aa") for i in range(90)]
-        records += [ReprRecord(far[i], 0, 90 + i, 0, "bb") for i in range(10)]
-        store = build_datastore(records, 8, 5)
+        store = merge_datastores([
+            build_datastore(make_records(near, 0, np.arange(90), 0), 5, "aa"),
+            build_datastore(make_records(far, 0, 90 + np.arange(10), 0), 5, "bb")])
         queries = [(rng.normal(scale=0.1, size=8), 1) for _ in range(40)]
         stats = provenance_stats(store, queries)
         assert stats["aa"].p_obs == 1.0
@@ -328,6 +326,27 @@ class TestPersistence:
         with pytest.raises(CorruptFileError):
             load_datastore(path)
 
+    def saved_store(self, tmp_path, seed):
+        store = random_store(np.random.default_rng(seed), 20, 8, vocab_size=10)
+        path = tmp_path / "store.kds"
+        save_datastore(store, path)
+        # KDS1 record: u32 sid, u16 ts, u32 tok, u16 lang, 8 x f32
+        return path, path.read_bytes(), len(store) * (12 + 4 * 8)
+
+    def test_token_outside_vocab_rejected_on_load(self, tmp_path):
+        path, raw, payload = self.saved_store(tmp_path, 22)
+        tok_at = len(raw) - payload + 6  # first record: u32 sid, u16 ts, u32 tok
+        path.write_bytes(raw[:tok_at] + struct.pack("<I", 9999) + raw[tok_at + 4:])
+        with pytest.raises(CorruptFileError):
+            load_datastore(path)
+
+    def test_unknown_index_kind_rejected(self, tmp_path):
+        path, raw, _ = self.saved_store(tmp_path, 23)
+        kind_at = len(vecstore.KDS_MAGIC) + 8  # after u32 dim and u32 vocab_size
+        path.write_bytes(raw[:kind_at] + bytes([2]) + raw[kind_at + 1:])
+        with pytest.raises(CorruptFileError):
+            load_datastore(path)
+
     def test_cell_probe_spec_survives_roundtrip(self, tmp_path):
         rng = np.random.default_rng(20)
         store = random_store(rng, 80, 8, index_kind="cell-probe",
@@ -341,20 +360,18 @@ class TestPersistence:
     def test_dump_roundtrip(self, tmp_path):
         rng = np.random.default_rng(21)
         header = DumpHeader(dim=6, vocab_size=30, lang="aa")
-        records = [
-            ReprRecord(rng.normal(size=6).astype(np.float32),
-                       int(rng.integers(30)), s, t, "aa")
-            for s in range(5) for t in range(4)
-        ]
+        cells = [(s, t) for s in range(5) for t in range(4)]
+        vectors = [rng.normal(size=6).astype(np.float32) for _ in cells]
+        tokens = [int(rng.integers(30)) for _ in cells]
+        records = make_records(vectors, tokens, *zip(*cells))
         path = tmp_path / "dump.rdmp"
         assert write_dump(path, header, records) == 20
         header2, loaded = read_dump(path)
         assert header2 == header
         assert len(loaded) == 20
         for a, b in zip(records, loaded):
-            assert np.array_equal(a.vector, b.vector)
-            assert (a.token_id, a.sentence_id, a.timestep) == \
-                (b.token_id, b.sentence_id, b.timestep)
+            assert np.array_equal(a["vec"], b["vec"])
+            assert (a["tok"], a["sid"], a["ts"]) == (b["tok"], b["sid"], b["ts"])
 
     def test_dump_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.rdmp"
