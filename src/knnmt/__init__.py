@@ -62,6 +62,7 @@ from .vecstore import (
     read_dump,
     record_dtype,
     save_datastore,
+    store_dtype,
     write_dump,
 )
 

@@ -20,7 +20,7 @@ from .errors import (
     EmptyPairsError,
     SingularSystemError,
 )
-from .vecstore import Datastore, check_lang_code, context_rows, _read_exact
+from .vecstore import Datastore, context_rows, _check_end, _read_dim, _read_exact, _read_lang
 
 KLM_MAGIC = b"KLM1\x00\x00"
 
@@ -162,18 +162,9 @@ def map_datastore(store: Datastore, lin_map: LinearMap) -> Datastore:
     if store.dim != lin_map.dim:
         raise DimensionMismatchError(
             f"store dimension {store.dim} does not match map dimension {lin_map.dim}")
-    mapped = (store.keys.astype(np.float64) @ lin_map.matrix.T).astype(np.float32)
-    return Datastore(
-        dim=store.dim,
-        vocab_size=store.vocab_size,
-        keys=mapped,
-        token_ids=store.token_ids,
-        sentence_ids=store.sentence_ids,
-        timesteps=store.timesteps,
-        lang_codes=store.lang_codes,
-        lang_indices=store.lang_indices,
-        index_spec=store.index_spec,
-    )
+    rows = store.rows.copy()
+    rows["vec"] = store.keys.astype(np.float64) @ lin_map.matrix.T  # rounded to f4 on assignment
+    return Datastore(rows, store.vocab_size, store.lang_codes, store.index_spec)
 
 
 def save_linear_map(lin_map: LinearMap, path: str | os.PathLike) -> None:
@@ -190,16 +181,18 @@ def save_linear_map(lin_map: LinearMap, path: str | os.PathLike) -> None:
 
 
 def load_linear_map(path: str | os.PathLike) -> LinearMap:
+    """Read a KLM1 file; a non-finite matrix or a ridge that is not finite and
+    non-negative raises CorruptFileError, as do sizes the file contradicts."""
     with open(path, "rb") as f:
         if _read_exact(f, len(KLM_MAGIC), "magic") != KLM_MAGIC:
             raise CorruptFileError(f"{path}: bad magic, not a KLM1 map")
-        (dim,) = struct.unpack("<I", _read_exact(f, 4, "header"))
-        codes = []
-        for _ in range(2):
-            (n,) = struct.unpack("<I", _read_exact(f, 4, "lang code"))
-            codes.append(check_lang_code(_read_exact(f, n, "lang code").decode("utf-8")))
+        dim = _read_dim(f)
+        codes = [_read_lang(f), _read_lang(f)]
         (ridge,) = struct.unpack("<d", _read_exact(f, 8, "ridge"))
         raw = _read_exact(f, dim * dim * 4, "matrix")
+        _check_end(f)
     matrix = np.frombuffer(raw, dtype="<f4").reshape(dim, dim).astype(np.float64)
+    if not (np.isfinite(matrix).all() and 0.0 <= ridge < np.inf):
+        raise CorruptFileError(f"{path}: non-finite matrix or bad ridge {ridge}")
     return LinearMap(matrix=matrix, source_lang=codes[0], target_lang=codes[1],
                      ridge=ridge)

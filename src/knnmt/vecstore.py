@@ -55,6 +55,15 @@ def record_dtype(dim: int) -> np.dtype:
     return np.dtype([("sid", "<u4"), ("ts", "<u2"), ("tok", "<u4"), ("vec", "<f4", (dim,))])
 
 
+def store_dtype(dim: int) -> np.dtype:
+    """One datastore entry, laid out as a KDS1 row: a record plus its language.
+
+    ``lang`` indexes the store's ``lang_codes``.
+    """
+    return np.dtype([("sid", "<u4"), ("ts", "<u2"), ("tok", "<u4"), ("lang", "<u2"),
+                     ("vec", "<f4", (dim,))])
+
+
 def make_records(vectors, token_ids, sentence_ids, timesteps) -> np.ndarray:
     """Record rows from columns; a scalar column is broadcast to every row."""
     vectors = np.asarray(vectors, dtype=np.float32)
@@ -225,28 +234,31 @@ def _build_index(keys: np.ndarray, spec: IndexSpec):
 class Datastore:
     """Immutable collection of (context vector -> token) entries with provenance.
 
-    Concurrent readers are safe once built; no operation mutates a live store.
+    ``rows`` holds the entries as one array of ``store_dtype`` rows, which the
+    constructor makes read-only; ``keys``, ``token_ids``, ``sentence_ids``,
+    ``timesteps`` and ``lang_indices`` are views of its columns. Concurrent
+    readers are safe once built.
     """
 
-    def __init__(self, dim: int, vocab_size: int, keys: np.ndarray,
-                 token_ids: np.ndarray, sentence_ids: np.ndarray,
-                 timesteps: np.ndarray, lang_codes: tuple[str, ...],
-                 lang_indices: np.ndarray, index_spec: IndexSpec):
-        self.dim = dim
+    def __init__(self, rows: np.ndarray, vocab_size: int,
+                 lang_codes: tuple[str, ...], index_spec: IndexSpec):
+        rows.flags.writeable = False
+        self.rows = rows
+        self.dim = rows.dtype["vec"].shape[0]
         self.vocab_size = vocab_size
-        self.keys = keys
-        self.token_ids = token_ids
-        self.sentence_ids = sentence_ids
-        self.timesteps = timesteps
+        self.keys = rows["vec"]
+        self.token_ids = rows["tok"]
+        self.sentence_ids = rows["sid"]
+        self.timesteps = rows["ts"]
         self.lang_codes = lang_codes
-        self.lang_indices = lang_indices
+        self.lang_indices = rows["lang"]
         self.index_spec = index_spec
-        self.index = _build_index(keys, index_spec)
-        counts = np.bincount(lang_indices, minlength=len(lang_codes))
+        self.index = _build_index(self.keys, index_spec)
+        counts = np.bincount(self.lang_indices, minlength=len(lang_codes))
         self.languages = {code: int(counts[i]) for i, code in enumerate(lang_codes)}
 
     def __len__(self) -> int:
-        return self.keys.shape[0]
+        return self.rows.size
 
 
 def _check_columns(dim: int, token_ids: np.ndarray, vocab_size: int, error) -> None:
@@ -274,17 +286,11 @@ def build_datastore(records: np.ndarray, vocab_size: int, lang: str,
     _check_columns(dim, records["tok"], vocab_size, MalformedDumpError)
     if records.size == 0:
         raise EmptyDatastoreError("dump contains no records")
-    return Datastore(
-        dim=dim,
-        vocab_size=vocab_size,
-        keys=records["vec"].copy(),
-        token_ids=records["tok"].copy(),
-        sentence_ids=records["sid"].copy(),
-        timesteps=records["ts"].copy(),
-        lang_codes=(lang,),
-        lang_indices=np.zeros(records.size, dtype=np.uint16),
-        index_spec=_index_spec(index_kind, index_params, records.size),
-    )
+    rows = np.zeros(records.size, dtype=store_dtype(dim))  # every entry in language 0
+    for name in records.dtype.names:
+        rows[name] = records[name]
+    return Datastore(rows, vocab_size, (lang,),
+                     _index_spec(index_kind, index_params, records.size))
 
 
 def _index_spec(kind: str, params: dict | None, n_entries: int) -> IndexSpec:
@@ -327,17 +333,9 @@ def merge_datastores(stores: Sequence[Datastore]) -> Datastore:
                 lang_codes.append(code)
             remap[i] = lang_lookup[code]
         parts.append(remap[s.lang_indices])
-    return Datastore(
-        dim=first.dim,
-        vocab_size=first.vocab_size,
-        keys=np.vstack([s.keys for s in stores]),
-        token_ids=np.concatenate([s.token_ids for s in stores]),
-        sentence_ids=np.concatenate([s.sentence_ids for s in stores]),
-        timesteps=np.concatenate([s.timesteps for s in stores]),
-        lang_codes=tuple(lang_codes),
-        lang_indices=np.concatenate(parts),
-        index_spec=first.index_spec,
-    )
+    rows = np.concatenate([s.rows for s in stores])
+    rows["lang"] = np.concatenate(parts)
+    return Datastore(rows, first.vocab_size, tuple(lang_codes), first.index_spec)
 
 
 def query(store: Datastore, q: np.ndarray, k: int) -> list[Neighbor]:
@@ -412,14 +410,15 @@ class DumpHeader:
     lang: str
 
 
-def _store_record_dtype(dim: int) -> np.dtype:
-    return np.dtype([("sid", "<u4"), ("ts", "<u2"), ("tok", "<u4"), ("lang", "<u2"),
-                     ("vec", "<f4", (dim,))])
-
-
 def write_dump(path: str | os.PathLike, header: DumpHeader, records: np.ndarray) -> int:
-    """Write ``record_dtype`` rows to an RDMP1 file; returns the record count."""
+    """Write ``record_dtype`` rows to an RDMP1 file; returns the record count.
+
+    A dump holds at least one record: ``read_dump`` bounds the header's
+    dimension by the bytes that follow it.
+    """
     check_lang_code(header.lang)
+    if records.size == 0:
+        raise EmptyDatastoreError("dump contains no records")
     if records.dtype != record_dtype(header.dim):
         raise MalformedDumpError(
             f"records have dtype {records.dtype}, dump declares d={header.dim}")
@@ -434,28 +433,64 @@ def write_dump(path: str | os.PathLike, header: DumpHeader, records: np.ndarray)
     return records.size
 
 
+def _bytes_left(f) -> int:
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_exact(f, n: int, what: str) -> bytes:
     """Read exactly n bytes; a size beyond the end of the file is corruption."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
+    left = _bytes_left(f)
     if n > left:
         raise CorruptFileError(f"truncated while reading {what}: "
                                f"needs {n} bytes, {left} left")
     return f.read(n)
 
 
+def _read_dim(f) -> int:
+    """Read a u32 dimension: at least 1, and no more float32s than the file has left."""
+    (dim,) = struct.unpack("<I", _read_exact(f, 4, "dimension"))
+    if not 1 <= dim <= _bytes_left(f) // 4:
+        raise CorruptFileError(f"dimension {dim} is 0 or larger than the file holds")
+    return dim
+
+
+def _read_lang(f) -> str:
+    """Read a u32-length-prefixed language code."""
+    (n,) = struct.unpack("<I", _read_exact(f, 4, "lang code"))
+    raw = _read_exact(f, n, "lang code")
+    try:
+        return check_lang_code(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CorruptFileError(f"lang code {raw!r} is not UTF-8") from None
+
+
+def _check_end(f) -> None:
+    left = _bytes_left(f)
+    if left:
+        raise CorruptFileError(f"{left} bytes after the end of the payload")
+
+
+def _read_rows(f, dtype: np.dtype) -> np.ndarray:
+    """Read a u64 row count, then read-only rows that must end the file."""
+    (count,) = struct.unpack("<Q", _read_exact(f, 8, "record count"))
+    rows = np.frombuffer(_read_exact(f, count * dtype.itemsize, "records"), dtype=dtype)
+    _check_end(f)
+    return rows
+
+
 def read_dump(path: str | os.PathLike) -> tuple[DumpHeader, np.ndarray]:
-    """Read an RDMP1 file as its header and read-only ``record_dtype`` rows."""
+    """Read an RDMP1 file as its header and read-only ``record_dtype`` rows.
+
+    The dimension, the language code and the sizes are checked against the
+    file's length; any contradiction raises CorruptFileError.
+    """
     with open(path, "rb") as f:
         if _read_exact(f, len(RDMP_MAGIC), "magic") != RDMP_MAGIC:
             raise CorruptFileError(f"{path}: bad magic, not an RDMP1 dump")
-        dim, vocab_size = struct.unpack("<II", _read_exact(f, 8, "header"))
-        (lang_len,) = struct.unpack("<I", _read_exact(f, 4, "header"))
-        lang = _read_exact(f, lang_len, "lang code").decode("utf-8")
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, "record count"))
-        dtype = record_dtype(dim)
-        raw = _read_exact(f, count * dtype.itemsize, "records")
-    header = DumpHeader(dim=dim, vocab_size=vocab_size, lang=check_lang_code(lang))
-    return header, np.frombuffer(raw, dtype=dtype)
+        dim = _read_dim(f)
+        (vocab_size,) = struct.unpack("<I", _read_exact(f, 4, "header"))
+        header = DumpHeader(dim=dim, vocab_size=vocab_size, lang=_read_lang(f))
+        return header, _read_rows(f, record_dtype(dim))
 
 
 def _manifest_path(path: str | os.PathLike) -> str:
@@ -465,12 +500,6 @@ def _manifest_path(path: str | os.PathLike) -> str:
 def save_datastore(store: Datastore, path: str | os.PathLike,
                    manifest: dict | None = None) -> None:
     """Write a KDS1 file plus its informational JSON sidecar manifest."""
-    arr = np.empty(len(store), dtype=_store_record_dtype(store.dim))
-    arr["sid"] = store.sentence_ids
-    arr["ts"] = store.timesteps
-    arr["tok"] = store.token_ids
-    arr["lang"] = store.lang_indices
-    arr["vec"] = store.keys
     spec = store.index_spec
     kind_code = 0 if spec.kind == "exact-scan" else 1
     with open(path, "wb") as f:
@@ -484,7 +513,7 @@ def save_datastore(store: Datastore, path: str | os.PathLike,
             f.write(raw)
             f.write(struct.pack("<Q", store.languages[code]))
         f.write(struct.pack("<Q", len(store)))
-        f.write(arr.tobytes())
+        store.rows.tofile(f)
     sidecar = {"tokenizer": "whitespace", "corpus": "unspecified"}
     sidecar.update(manifest or {})
     with open(_manifest_path(path), "w", encoding="utf-8") as f:
@@ -495,37 +524,39 @@ def save_datastore(store: Datastore, path: str | os.PathLike,
 def load_datastore(path: str | os.PathLike) -> Datastore:
     """Read a KDS1 file; the search index is rebuilt deterministically.
 
-    Sizes, the index kind, token ids and the provenance table are checked
-    against the header; any contradiction raises CorruptFileError.
+    The store keeps the file's rows as read; its columns are views of them.
+    Sizes, the dimension, the index spec, language codes, token ids and the
+    provenance table are checked against the header and the file's length;
+    any contradiction raises CorruptFileError.
     """
     with open(path, "rb") as f:
         if _read_exact(f, len(KDS_MAGIC), "magic") != KDS_MAGIC:
             raise CorruptFileError(f"{path}: bad magic, not a KDS1 datastore")
-        dim, vocab_size = struct.unpack("<II", _read_exact(f, 8, "header"))
+        dim = _read_dim(f)
+        (vocab_size,) = struct.unpack("<I", _read_exact(f, 4, "header"))
         kind_code, n_cells, n_probe, train_size = struct.unpack(
             "<BIII", _read_exact(f, 13, "index spec"))
         if kind_code not in (0, 1):
             raise CorruptFileError(f"{path}: unknown index kind byte {kind_code}")
+        if kind_code == 1 and not (n_cells and n_probe):
+            raise CorruptFileError(
+                f"{path}: cell-probe index with {n_cells} cells and {n_probe} probes")
         (n_langs,) = struct.unpack("<I", _read_exact(f, 4, "provenance table"))
         lang_codes = []
         declared_counts = []
         for _ in range(n_langs):
-            (code_len,) = struct.unpack("<I", _read_exact(f, 4, "provenance table"))
-            code = _read_exact(f, code_len, "lang code").decode("utf-8")
+            lang_codes.append(_read_lang(f))
             (count,) = struct.unpack("<Q", _read_exact(f, 8, "provenance table"))
-            lang_codes.append(check_lang_code(code))
             declared_counts.append(count)
-        (count,) = struct.unpack("<Q", _read_exact(f, 8, "record count"))
-        dtype = _store_record_dtype(dim)
-        raw = _read_exact(f, count * dtype.itemsize, "records")
-    arr = np.frombuffer(raw, dtype=dtype)
-    if count == 0:
+        if len(set(lang_codes)) < n_langs:
+            raise CorruptFileError(f"{path}: a language is listed twice")
+        rows = _read_rows(f, store_dtype(dim))
+    if rows.size == 0:
         raise EmptyDatastoreError(f"{path}: datastore holds no entries")
-    _check_columns(dim, arr["tok"], vocab_size, CorruptFileError)
-    lang_indices = arr["lang"].copy()
-    if lang_indices.size and int(lang_indices.max()) >= n_langs:
+    _check_columns(dim, rows["tok"], vocab_size, CorruptFileError)
+    if int(rows["lang"].max()) >= n_langs:
         raise CorruptFileError(f"{path}: entry references an undeclared language")
-    actual = np.bincount(lang_indices, minlength=n_langs)
+    actual = np.bincount(rows["lang"], minlength=n_langs)
     if list(actual) != declared_counts:
         raise CorruptFileError(f"{path}: provenance table disagrees with entries")
     if kind_code == 0:
@@ -533,14 +564,4 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     else:
         spec = IndexSpec(kind="cell-probe", n_cells=n_cells, n_probe=n_probe,
                          train_size=train_size)
-    return Datastore(
-        dim=dim,
-        vocab_size=vocab_size,
-        keys=arr["vec"].copy(),
-        token_ids=arr["tok"].copy(),
-        sentence_ids=arr["sid"].copy(),
-        timesteps=arr["ts"].copy(),
-        lang_codes=tuple(lang_codes),
-        lang_indices=lang_indices,
-        index_spec=spec,
-    )
+    return Datastore(rows, vocab_size, tuple(lang_codes), spec)

@@ -31,6 +31,7 @@ from knnmt.vecstore import (
     make_records,
     merge_datastores,
     query,
+    store_dtype,
 )
 
 
@@ -49,19 +50,14 @@ def criterion(number, title):
 
 
 def array_store(keys, tokens, lang="xx", vocab_size=None, index_spec=None):
-    keys = np.ascontiguousarray(keys, dtype=np.float32)
+    keys = np.asarray(keys, dtype=np.float32)
     n = keys.shape[0]
-    return Datastore(
-        dim=keys.shape[1],
-        vocab_size=vocab_size or int(np.max(tokens)) + 1,
-        keys=keys,
-        token_ids=np.asarray(tokens, dtype=np.uint32),
-        sentence_ids=np.arange(n, dtype=np.uint32),
-        timesteps=np.zeros(n, dtype=np.uint16),
-        lang_codes=(lang,),
-        lang_indices=np.zeros(n, dtype=np.uint16),
-        index_spec=index_spec or IndexSpec(),
-    )
+    rows = np.zeros(n, dtype=store_dtype(keys.shape[1]))
+    rows["vec"] = keys
+    rows["tok"] = tokens
+    rows["sid"] = np.arange(n)
+    return Datastore(rows, vocab_size or int(np.max(tokens)) + 1, (lang,),
+                     index_spec or IndexSpec())
 
 
 def naive_topk(keys, q, k):

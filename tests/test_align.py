@@ -229,6 +229,15 @@ class TestMapDatastore:
         assert mapped.languages == store.languages
         assert not np.array_equal(mapped.keys, store.keys)
 
+    def test_input_rows_unchanged(self):
+        rng = np.random.default_rng(14)
+        store = self.make_store(rng, rng.normal(size=(20, 8)), rng.integers(3, 90, size=20))
+        before = store.rows.tobytes()
+        mapped = map_datastore(store, LinearMap(rng.normal(size=(8, 8)), "aa", "bb", 0.0))
+        assert store.rows.tobytes() == before
+        for name in ("sid", "ts", "tok", "lang"):
+            assert np.array_equal(mapped.rows[name], store.rows[name])
+
     def test_map_then_inverse_fit_restores_keys(self):
         rng = np.random.default_rng(10)
         truth = random_rotation(rng, 8)  # well-conditioned

@@ -25,6 +25,7 @@ from knnmt.vecstore import (
     read_dump,
     record_dtype,
     save_datastore,
+    store_dtype,
     write_dump,
 )
 
@@ -73,6 +74,11 @@ class TestBuild:
     def test_empty_dump_rejected(self):
         with pytest.raises(EmptyDatastoreError):
             build_datastore(np.empty(0, dtype=record_dtype(4)), 10, "xx")
+
+    def test_empty_dump_not_written(self, tmp_path):
+        with pytest.raises(EmptyDatastoreError):
+            write_dump(tmp_path / "d.rdmp", DumpHeader(4, 10, "xx"),
+                       np.empty(0, dtype=record_dtype(4)))
 
     def test_token_outside_vocab_rejected(self):
         records = make_records(np.zeros((1, 4)), 11, 0, 0)
@@ -309,6 +315,32 @@ class TestPersistence:
             before = [(nb.entry_index, nb.distance) for nb in query(store, q, 10)]
             after = [(nb.entry_index, nb.distance) for nb in query(loaded, q, 10)]
             assert before == after
+
+    @pytest.mark.parametrize("langs, kw", [
+        (("xx",), {}),
+        (("xx",), {"index_kind": "cell-probe", "index_params": {"n_cells": 4, "n_probe": 2}}),
+        (("aa", "bb", "cc"), {}),
+    ], ids=["exact-scan", "cell-probe", "merged"])
+    def test_saving_a_loaded_store_reproduces_the_file(self, tmp_path, langs, kw):
+        store = random_store(np.random.default_rng(24), 60, 8, langs=langs, **kw)
+        first, second = tmp_path / "first.kds", tmp_path / "second.kds"
+        save_datastore(store, first)
+        save_datastore(load_datastore(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_columns_are_read_only_views_of_the_rows(self, tmp_path):
+        built = random_store(np.random.default_rng(25), 30, 8, langs=("aa", "bb"))
+        path = tmp_path / "store.kds"
+        save_datastore(built, path)
+        for store in (built, load_datastore(path)):
+            assert store.rows.dtype == store_dtype(8)
+            for column in (store.keys, store.token_ids, store.sentence_ids,
+                           store.timesteps, store.lang_indices):
+                assert np.shares_memory(column, store.rows)
+            with pytest.raises(ValueError):
+                store.keys[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                store.rows["lang"] = 0
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.kds"
