@@ -22,7 +22,7 @@ class DimensionMismatchError(KnnmtError):
 
 
 class InsufficientEntriesError(KnnmtError):
-    """k exceeds the number of stored entries."""
+    """k, or a cell-probe index's cell count, exceeds the number of stored entries."""
 
 
 class EmptyInputError(KnnmtError):

@@ -113,11 +113,12 @@ class IndexSpec:
 
 
 def squared_distances(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared-L2 distances from ``q`` to every row of ``keys``.
+    """Squared-L2 distances from ``q`` to every row of ``keys``: the exact rescoring step.
 
     Keys are float32 storage; the subtraction and accumulation happen in
-    float64 so that exact-scan and cell-probe paths produce bit-identical
-    per-row distances (each row is reduced independently of the others).
+    float64, and each row is reduced independently of the others, so a row's
+    distance is the same bits whichever rows it is scored with. Both indexes
+    rank every row they search by this value.
     """
     q64 = np.asarray(q, dtype=np.float64)
     n = keys.shape[0]
@@ -135,17 +136,91 @@ def _topk(dists: np.ndarray, candidates: np.ndarray, k: int) -> tuple[np.ndarray
     return candidates[order], dists[order]
 
 
+def _row_norms(keys: np.ndarray) -> np.ndarray:
+    """Float32 squared norms of the rows of ``keys``."""
+    return np.einsum("ij,ij->i", keys, keys)
+
+
+_U32 = 2.0 ** -24  # unit roundoff of float32
+_U64 = 2.0 ** -53  # unit roundoff of float64
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u): the rounding bound of an n-step reduction.
+
+    It is inf when n u >= 1, where no such bound holds.
+    """
+    return n * u / (1 - n * u) if n * u < 1 else float("inf")
+
+
+def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k of the rows of ``keys`` as (row positions, distances).
+
+    The result is ``_topk(squared_distances(keys, q), arange(n), k)`` bit for
+    bit, but only a shortlist is rescored. Rows are ranked by the float32
+    ``approx = norms - 2 keys @ float32(q)``, which estimates
+    ``a = |k|^2 - 2 k.q = |k - q|^2 - |q|^2``. Let d be the dimension,
+    u = 2^-24, gamma_n = n u / (1 - n u), and K and Q upper bounds on the
+    largest key norm and on |q|. Then:
+
+    - ``norms``, a float32 reduction, is off by at most gamma_d K^2;
+    - rounding q to float32 moves k.q by at most u K Q, and the float32 dot
+      product is off by at most gamma_d K Q, in any summation order;
+    - the final subtraction rounds once more, by at most u (K^2 + 2 K Q);
+    - products that underflow add at most (d + 1)(3 + K) 2^-149.
+
+    So |approx - a| <= gamma_{d+3} (K^2 + 2 K Q) + (d + 1)(3 + K) 2^-149.
+    The float64 rescoring is off the real distance by at most
+    gamma_{d+2} (K + Q)^2 (with the float64 u), and one more float64 u
+    covers rounding the limit. Let E be the sum of these bounds and t the
+    k-th smallest ``approx``. At least k rows rescore to at most
+    t + |q|^2 + E, so every row of the true top-k, ties included, has
+    ``approx <= t + 2E``, and every row outside that shortlist rescores
+    strictly worse than the k-th. When K + Q exceeds 2^60 (a float32 step
+    could overflow) or is not finite (a NaN or inf key or query), every row
+    is rescored: the plain exact scan.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    n, d = keys.shape
+    rows = None
+    if k < n:
+        knorm = np.sqrt(float(norms.max()) * (1 + 2 * _gamma(d, _U32)))
+        qnorm = np.sqrt(float(q @ q)) * (1 + _gamma(d + 2, _U64))
+        if knorm + qnorm <= 2.0 ** 60:  # False for NaN and inf too
+            bound = (_gamma(d + 3, _U32) * (knorm * knorm + 2 * knorm * qnorm)
+                     + _gamma(d + 3, _U64) * (knorm + qnorm) ** 2
+                     + (d + 1) * (3 + knorm) * 2.0 ** -149)
+            approx = keys @ q.astype(np.float32)
+            approx *= -2.0
+            approx += norms
+            limit = float(np.partition(approx, k - 1)[k - 1]) + 2 * bound
+            limit = np.nextafter(np.float32(limit), np.float32(np.inf))  # rounded up
+            rows = np.flatnonzero(approx <= limit)
+            keys = keys[rows]
+    if rows is None:  # the plain exact scan
+        rows = np.arange(n, dtype=np.int64)
+    return _topk(squared_distances(keys, q), rows, k)
+
+
 class ExactScanIndex:
-    """Exhaustive scan; the ground-truth top-k under squared-L2."""
+    """Exhaustive search; the ground-truth top-k under squared-L2.
+
+    Every row is ranked by a float32 product, and only the rows within the
+    certified error bound of the k-th (``_certified_topk``) are rescored in
+    float64, so the result equals a float64 scan of every row, ties included.
+    """
 
     kind = "exact-scan"
 
     def __init__(self, keys: np.ndarray):
         self._keys = keys
+        self._norms = None  # on the first search: building or loading a store stays as cheap
 
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        dists = squared_distances(self._keys, q)
-        return _topk(dists, np.arange(dists.size, dtype=np.int64), k)
+        if self._norms is None:  # threads that race here compute the same array
+            self._norms = _row_norms(self._keys)
+        return _certified_topk(self._keys, self._norms, q, k)
 
 
 class CellProbeIndex:
@@ -155,7 +230,10 @@ class CellProbeIndex:
     refined with a fixed number of Lloyd iterations over a deterministic
     prefix subsample, trading cluster quality for reproducibility. A query
     scans only the ``n_probe`` cells whose centroids are closest; probing
-    every cell reproduces the exact scan, tie-breaks included.
+    every cell reproduces the exact scan, tie-breaks included. The probed
+    entries go through the same certified float32 shortlist as
+    ``ExactScanIndex`` (``_certified_topk``), so the result equals a float64
+    scan of every probed entry.
     """
 
     kind = "cell-probe"
@@ -165,6 +243,7 @@ class CellProbeIndex:
         if n_cells < 1 or n_probe < 1:
             raise ValueError("n_cells and n_probe must be positive")
         self._keys = keys
+        self._norms = None  # on the first search, as in ExactScanIndex
         self.n_probe = n_probe
         centroids = _initial_centroids(keys, n_cells)
         centroids = _refine_centroids(centroids, keys[:max(train_size, 1)])
@@ -184,9 +263,11 @@ class CellProbeIndex:
             if candidates.size >= k or probe >= self.n_cells:
                 break
             probe += 1  # expand until enough candidates to honor k
-        candidates = np.sort(candidates)
-        dists = squared_distances(self._keys[candidates], q)
-        return _topk(dists, candidates, k)
+        candidates = np.sort(candidates)  # ascending, so row order breaks ties as entry order
+        if self._norms is None:
+            self._norms = _row_norms(self._keys)
+        rows, dists = _certified_topk(self._keys[candidates], self._norms[candidates], q, k)
+        return candidates[rows], dists
 
 
 def _initial_centroids(keys: np.ndarray, n_cells: int) -> np.ndarray:
@@ -205,7 +286,7 @@ def _initial_centroids(keys: np.ndarray, n_cells: int) -> np.ndarray:
 def _refine_centroids(centroids: np.ndarray, train: np.ndarray) -> np.ndarray:
     train64 = train.astype(np.float64)
     for _ in range(KMEANS_ITERS):
-        assign = _assign_cells(train, centroids)
+        assign = _assign_cells(train64, centroids)
         for c in range(centroids.shape[0]):
             members = train64[assign == c]
             if members.size:  # empty cells keep their previous centroid
@@ -217,8 +298,10 @@ def _assign_cells(keys: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     cnorm = np.einsum("ij,ij->i", centroids, centroids)
     assign = np.empty(keys.shape[0], dtype=np.int64)
     for start in range(0, keys.shape[0], _CHUNK_ROWS):
-        chunk = keys[start:start + _CHUNK_ROWS].astype(np.float64)
-        d = cnorm - 2.0 * (chunk @ centroids.T)  # ||x||^2 constant per row
+        chunk = np.asarray(keys[start:start + _CHUNK_ROWS], dtype=np.float64)
+        d = chunk @ centroids.T
+        d *= -2.0  # in place, the same bits as cnorm - 2.0 * d; ||x||^2 is constant per row
+        d += cnorm
         assign[start:start + _CHUNK_ROWS] = np.argmin(d, axis=1)
     return assign
 
@@ -499,8 +582,15 @@ def _manifest_path(path: str | os.PathLike) -> str:
 
 def save_datastore(store: Datastore, path: str | os.PathLike,
                    manifest: dict | None = None) -> None:
-    """Write a KDS1 file plus its informational JSON sidecar manifest."""
+    """Write a KDS1 file plus its informational JSON sidecar manifest.
+
+    Raises InsufficientEntriesError for a cell-probe spec with more cells
+    than the store has entries, which ``load_datastore`` would reject.
+    """
     spec = store.index_spec
+    if spec.n_cells > len(store):
+        raise InsufficientEntriesError(
+            f"index spec asks for {spec.n_cells} cells, the store holds {len(store)} entries")
     kind_code = 0 if spec.kind == "exact-scan" else 1
     with open(path, "wb") as f:
         f.write(KDS_MAGIC)
@@ -525,9 +615,10 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     """Read a KDS1 file; the search index is rebuilt deterministically.
 
     The store keeps the file's rows as read; its columns are views of them.
-    Sizes, the dimension, the index spec, language codes, token ids and the
-    provenance table are checked against the header and the file's length;
-    any contradiction raises CorruptFileError.
+    Sizes, the dimension, the index spec (at most one cell per entry),
+    language codes, token ids and the provenance table are checked against
+    the header and the file's length; any contradiction raises
+    CorruptFileError.
     """
     with open(path, "rb") as f:
         if _read_exact(f, len(KDS_MAGIC), "magic") != KDS_MAGIC:
@@ -553,6 +644,8 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
         rows = _read_rows(f, store_dtype(dim))
     if rows.size == 0:
         raise EmptyDatastoreError(f"{path}: datastore holds no entries")
+    if kind_code == 1 and n_cells > rows.size:
+        raise CorruptFileError(f"{path}: {n_cells} cells for {rows.size} entries")
     _check_columns(dim, rows["tok"], vocab_size, CorruptFileError)
     if int(rows["lang"].max()) >= n_langs:
         raise CorruptFileError(f"{path}: entry references an undeclared language")

@@ -99,6 +99,7 @@ CORRUPTIONS = {
     "kds-dim-huge": ("KDS1", 6, struct.pack("<I", 2**32 - 1)),
     "kds-no-cells": ("KDS1", 15, struct.pack("<I", 0)),
     "kds-no-probes": ("KDS1", 19, struct.pack("<I", 0)),
+    "kds-more-cells-than-entries": ("KDS1", 15, struct.pack("<I", 7)),
     "klm-dim-0": ("KLM1", 6, struct.pack("<I", 0)),
     "klm-lang-not-utf8": ("KLM1", 14, b"\xc3\x28"),
     "klm-negative-ridge": ("KLM1", 22, struct.pack("<d", -1.0)),

@@ -342,6 +342,16 @@ class TestPersistence:
             with pytest.raises(ValueError):
                 store.rows["lang"] = 0
 
+    def test_more_cells_than_entries_not_saved(self, tmp_path):
+        store = random_store(np.random.default_rng(26), 10, 8)
+        spec = IndexSpec("cell-probe", n_cells=11, n_probe=1)
+        oversized = vecstore.Datastore(store.rows.copy(), store.vocab_size,
+                                       store.lang_codes, spec)
+        path = tmp_path / "store.kds"
+        with pytest.raises(InsufficientEntriesError):
+            save_datastore(oversized, path)
+        assert not path.exists()
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.kds"
         path.write_bytes(b"NOTKDS" + b"\x00" * 50)
