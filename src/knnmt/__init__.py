@@ -48,10 +48,10 @@ from .transfer import (
     xsim_loss,
 )
 from .vecstore import (
+    NEIGHBOR_DTYPE,
     Datastore,
     DumpHeader,
     IndexSpec,
-    Neighbor,
     build_datastore,
     context_rows,
     load_datastore,

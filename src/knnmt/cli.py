@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -260,13 +259,8 @@ def cmd_translate(args) -> tuple[str | None, dict]:
     elapsed = 0.0
     if encoded:
         outputs.append(run(encoded[0]))  # warm-up batch, excluded from timing
-        rest = encoded[1:]
         started = time.perf_counter()
-        if args.jobs > 1 and rest:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outputs.extend(pool.map(run, rest))
-        else:
-            outputs.extend(run(s) for s in rest)
+        outputs.extend(run(s) for s in encoded[1:])
         elapsed = time.perf_counter() - started
         token_count = sum(len(o) for o in outputs[1:])
     with open(args.output, "w", encoding="utf-8") as f:
@@ -303,8 +297,9 @@ class BenchRow:
 def bench_step(store: vecstore.Datastore, q: np.ndarray, k: int,
                base: np.ndarray) -> np.ndarray:
     """One decoded token's worth of work: retrieval, softmax, interpolation."""
-    neighbors = vecstore.query(store, q, k)
-    p_knn = decode.knn_distribution(neighbors, BENCH_TEMPERATURE, store.vocab_size)
+    nbrs = vecstore.query(store, q, k)
+    p_knn = decode.knn_distribution(nbrs.distance, nbrs.token_id, BENCH_TEMPERATURE,
+                                    store.vocab_size)
     return decode.interpolate(p_knn, base, BENCH_LAMBDA)
 
 
@@ -522,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=10.0)
     p.add_argument("--beam", type=int, default=1)
     p.add_argument("--max-len", type=int, default=32)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_translate)

@@ -20,7 +20,8 @@ from .errors import (
     EmptyRetrievalError,
     UntrainedModelError,
 )
-from .vecstore import Datastore, Neighbor, make_records, query
+from .align import apply_map
+from .vecstore import Datastore, make_records, query
 
 PROB_FLOOR = 1e-12  # floor before log; keeps zero-support tokens finite
 FEATURE_HASH_SEED = 0x5EED
@@ -65,27 +66,31 @@ class BaseModel(Protocol):
                   prefix: Sequence[int]) -> np.ndarray: ...
 
 
-def knn_distribution(neighbors: Sequence[Neighbor], temperature: float,
+def knn_distribution(distances: np.ndarray, token_ids: np.ndarray, temperature: float,
                      vocab_size: int) -> np.ndarray:
     """Temperature softmax over negative distances, aggregated per token.
 
-    p(v) is proportional to the sum of exp(-d/T) over neighbors whose value
-    is v; tokens absent from the retrieved set get exactly 0.
+    ``distances[i]`` and ``token_ids[i]`` describe the i-th retrieved
+    neighbour, as the ``distance`` and ``token_id`` columns of
+    ``vecstore.query``'s result do. p(v) is proportional to the sum of
+    exp(-d/T) over neighbours whose value is v, summed in neighbour order;
+    tokens absent from the retrieved set get exactly 0. Raises
+    EmptyRetrievalError for no neighbours and DimensionMismatchError for a
+    token outside the vocabulary.
     """
-    if not neighbors:
+    dists = np.asarray(distances, dtype=np.float64)
+    tokens = np.asarray(token_ids, dtype=np.int64)
+    if not tokens.size:
         raise EmptyRetrievalError("no neighbors retrieved; fall back to the base model")
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
-    dists = np.array([nb.distance for nb in neighbors], dtype=np.float64)
-    tokens = np.array([nb.token_id for nb in neighbors], dtype=np.int64)
     if tokens.max() >= vocab_size:
         raise DimensionMismatchError(
             f"neighbor token {tokens.max()} outside vocabulary of {vocab_size}")
     # shifting by the min distance cancels in the normalization but keeps
     # exp() from underflowing to an all-zero vector
     weights = np.exp(-(dists - dists.min()) / temperature)
-    probs = np.zeros(vocab_size, dtype=np.float64)
-    np.add.at(probs, tokens, weights)
+    probs = np.bincount(tokens, weights=weights, minlength=vocab_size)
     return probs / probs.sum()
 
 
@@ -114,18 +119,15 @@ def step_distribution(model: BaseModel, source: Sequence[int],
         return p_base
     q = np.asarray(model.featurize(source, prefix), dtype=np.float64)
     if lin_map is not None:
-        if lin_map.matrix.shape[1] != q.shape[0]:
-            raise DimensionMismatchError(
-                f"map expects d={lin_map.matrix.shape[1]}, "
-                f"featurizer produces d={q.shape[0]}")
-        q = lin_map.matrix @ q
+        q = apply_map(lin_map, q)
     if q.shape != (store.dim,):
         raise DimensionMismatchError(
             f"featurizer produces d={q.shape[0]}, store has d={store.dim}")
     k = min(cfg.k, len(store))  # tiny stores: clamp rather than fail mid-decode
     try:
-        neighbors = query(store, q, k)
-        p_knn = knn_distribution(neighbors, cfg.temperature, store.vocab_size)
+        nbrs = query(store, q, k)
+        p_knn = knn_distribution(nbrs.distance, nbrs.token_id, cfg.temperature,
+                                 store.vocab_size)
     except EmptyRetrievalError:
         return p_base
     return interpolate(p_knn, p_base, cfg.lam)

@@ -77,6 +77,10 @@ def make_records(vectors, token_ids, sentence_ids, timesteps) -> np.ndarray:
     return records
 
 
+# one retrieved entry: its index in the store, squared-L2 distance and value token
+NEIGHBOR_DTYPE = np.dtype([("entry_index", "<i8"), ("distance", "<f8"), ("token_id", "<u4")])
+
+
 def context_rows(sentence_ids: np.ndarray,
                  timesteps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Join key for contexts: one row per (sentence id, timestep) pair.
@@ -90,16 +94,6 @@ def context_rows(sentence_ids: np.ndarray,
     keys = keys[order]
     last = np.append(keys[1:] != keys[:-1], True)
     return keys[last], order[last]
-
-
-@dataclass(frozen=True)
-class Neighbor:
-    """One retrieved entry: index, squared-L2 distance, value token, provenance."""
-
-    entry_index: int
-    distance: float
-    token_id: int
-    lang: str
 
 
 @dataclass(frozen=True)
@@ -344,10 +338,14 @@ class Datastore:
         return self.rows.size
 
 
-def _check_columns(dim: int, token_ids: np.ndarray, vocab_size: int, error) -> None:
-    """Raise ``error`` when the dimension or a token id contradicts the header."""
+def _check_columns(dim: int, keys: np.ndarray, token_ids: np.ndarray, vocab_size: int,
+                   error) -> None:
+    """Raise ``error`` for a bad dimension, a NaN or inf key, or an out-of-vocabulary token."""
     if dim < 1:
         raise error(f"dimension must be positive, got {dim}")
+    for start in range(0, keys.shape[0], _CHUNK_ROWS):  # no mask of the whole store at once
+        if not np.isfinite(keys[start:start + _CHUNK_ROWS]).all():
+            raise error("a key has a NaN or inf component")
     if token_ids.size and int(token_ids.max()) >= vocab_size:
         raise error(f"token id {int(token_ids.max())} outside the vocabulary of {vocab_size}")
 
@@ -357,8 +355,9 @@ def build_datastore(records: np.ndarray, vocab_size: int, lang: str,
                     index_params: dict | None = None) -> Datastore:
     """Build a one-language datastore from ``record_dtype`` rows, keeping their order.
 
-    Raises MalformedDumpError when the records contradict the vocabulary or
-    are not ``record_dtype`` rows, EmptyDatastoreError when there are none.
+    Raises MalformedDumpError when the records contradict the vocabulary,
+    hold a NaN or inf key, or are not ``record_dtype`` rows, and
+    EmptyDatastoreError when there are none.
     Stores of several languages come from ``merge_datastores``.
     """
     check_lang_code(lang)
@@ -366,7 +365,7 @@ def build_datastore(records: np.ndarray, vocab_size: int, lang: str,
     dim = vec_field[0].shape[0] if vec_field else 0
     if records.dtype != record_dtype(dim):
         raise MalformedDumpError(f"records have dtype {records.dtype}, not a record dtype")
-    _check_columns(dim, records["tok"], vocab_size, MalformedDumpError)
+    _check_columns(dim, records["vec"], records["tok"], vocab_size, MalformedDumpError)
     if records.size == 0:
         raise EmptyDatastoreError("dump contains no records")
     rows = np.zeros(records.size, dtype=store_dtype(dim))  # every entry in language 0
@@ -421,10 +420,13 @@ def merge_datastores(stores: Sequence[Datastore]) -> Datastore:
     return Datastore(rows, first.vocab_size, tuple(lang_codes), first.index_spec)
 
 
-def query(store: Datastore, q: np.ndarray, k: int) -> list[Neighbor]:
+def query(store: Datastore, q: np.ndarray, k: int) -> np.recarray:
     """Return the k nearest entries by squared-L2 distance, ascending.
 
-    Equal distances break toward the lower entry index.
+    The result is k ``NEIGHBOR_DTYPE`` rows as a record array: its columns
+    (``.entry_index``, ``.distance``, ``.token_id``) are arrays, and each row
+    reads its fields by attribute. Equal distances break toward the lower
+    entry index.
     """
     qv = np.asarray(q, dtype=np.float64)
     if qv.shape != (store.dim,):
@@ -436,15 +438,11 @@ def query(store: Datastore, q: np.ndarray, k: int) -> list[Neighbor]:
         raise InsufficientEntriesError(
             f"k={k} exceeds the {len(store)} stored entries")
     idx, dists = store.index.search(qv, k)
-    return [
-        Neighbor(
-            entry_index=int(i),
-            distance=float(d),
-            token_id=int(store.token_ids[i]),
-            lang=store.lang_codes[store.lang_indices[i]],
-        )
-        for i, d in zip(idx, dists)
-    ]
+    nbrs = np.empty(idx.size, dtype=NEIGHBOR_DTYPE)
+    nbrs["entry_index"] = idx
+    nbrs["distance"] = dists
+    nbrs["token_id"] = store.token_ids[idx]
+    return nbrs.view(np.recarray)
 
 
 @dataclass(frozen=True)
@@ -466,10 +464,8 @@ def provenance_stats(store: Datastore,
     """
     if not queries:
         raise EmptyInputError("provenance stats need at least one query")
-    retrieved = np.zeros(len(store.lang_codes), dtype=np.int64)
-    for q, k in queries:
-        for nb in query(store, q, k):
-            retrieved[store.lang_codes.index(nb.lang)] += 1
+    idx = np.concatenate([query(store, q, k).entry_index for q, k in queries])
+    retrieved = np.bincount(store.lang_indices[idx], minlength=len(store.lang_codes))
     total_retrieved = int(retrieved.sum())
     total_entries = len(store)
     stats = {}
@@ -617,8 +613,8 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     The store keeps the file's rows as read; its columns are views of them.
     Sizes, the dimension, the index spec (at most one cell per entry),
     language codes, token ids and the provenance table are checked against
-    the header and the file's length; any contradiction raises
-    CorruptFileError.
+    the header and the file's length, and every key must be finite; any
+    contradiction raises CorruptFileError.
     """
     with open(path, "rb") as f:
         if _read_exact(f, len(KDS_MAGIC), "magic") != KDS_MAGIC:
@@ -646,7 +642,7 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
         raise EmptyDatastoreError(f"{path}: datastore holds no entries")
     if kind_code == 1 and n_cells > rows.size:
         raise CorruptFileError(f"{path}: {n_cells} cells for {rows.size} entries")
-    _check_columns(dim, rows["tok"], vocab_size, CorruptFileError)
+    _check_columns(dim, rows["vec"], rows["tok"], vocab_size, CorruptFileError)
     if int(rows["lang"].max()) >= n_langs:
         raise CorruptFileError(f"{path}: entry references an undeclared language")
     actual = np.bincount(rows["lang"], minlength=n_langs)

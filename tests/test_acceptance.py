@@ -27,7 +27,6 @@ from knnmt.transfer import (
 from knnmt.vecstore import (
     Datastore,
     IndexSpec,
-    Neighbor,
     make_records,
     merge_datastores,
     query,
@@ -101,10 +100,9 @@ def test_criterion_2_distribution_laws():
     vocab_size = 200
     for _ in range(10_000):
         k = int(rng.integers(1, 65))
-        neighbors = [Neighbor(0, float(d), int(t), "xx")
-                     for d, t in zip(rng.uniform(0, 100, size=k),
-                                     rng.integers(0, vocab_size, size=k))]
-        probs = knn_distribution(neighbors, float(rng.uniform(0.1, 100)),
+        dists = rng.uniform(0, 100, size=k)
+        tokens = rng.integers(0, vocab_size, size=k)
+        probs = knn_distribution(dists, tokens, float(rng.uniform(0.1, 100)),
                                  vocab_size)
         assert abs(probs.sum() - 1.0) <= 1e-9
     for _ in range(100):
@@ -116,9 +114,7 @@ def test_criterion_2_distribution_laws():
         k = int(rng.integers(2, 33))
         tokens = rng.choice(vocab_size, size=k, replace=False)
         dists = rng.uniform(0, 20, size=k)
-        neighbors = [Neighbor(0, float(d), int(t), "xx")
-                     for d, t in zip(dists, tokens)]
-        peaks = [knn_distribution(neighbors, t, vocab_size).max()
+        peaks = [knn_distribution(dists, tokens, t, vocab_size).max()
                  for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
@@ -181,8 +177,9 @@ def test_criterion_5_multilingual_over_bilingual():
     def accuracy(store):
         hits = 0
         for q, tok in zip(held_keys, held_tokens):
-            neighbors = query(store, q, min(16, len(store)))
-            probs = interpolate(knn_distribution(neighbors, 10.0, vocab_size),
+            nbrs = query(store, q, min(16, len(store)))
+            probs = interpolate(knn_distribution(nbrs.distance, nbrs.token_id, 10.0,
+                                                 vocab_size),
                                 base, 0.7)
             hits += int(np.argmax(probs)) == tok
         return hits / len(held_tokens)

@@ -131,14 +131,6 @@ class TestTranslate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_jobs_flag_preserves_order(self, toy_dir, built_store, tmp_path):
-        serial = tmp_path / "serial.txt"
-        parallel = tmp_path / "parallel.txt"
-        assert self.translate(toy_dir, serial, store=built_store) == 0
-        assert self.translate(toy_dir, parallel, store=built_store,
-                              extra=("--jobs", "4")) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_neighbor_grid_emits_manifest_per_run(self, toy_dir, built_store,
                                                   tmp_path):
         for k in (16, 32, 64):

@@ -22,51 +22,47 @@ from knnmt.errors import (
     EmptyRetrievalError,
     UntrainedModelError,
 )
-from knnmt.vecstore import Neighbor, build_datastore
-
-
-def nb(dist, token):
-    return Neighbor(entry_index=0, distance=dist, token_id=token, lang="xx")
+from knnmt.vecstore import build_datastore
 
 
 class TestKnnDistribution:
     def test_single_token_support(self):
-        probs = knn_distribution([nb(0.3, 7), nb(5.0, 7)], temperature=2.0,
+        probs = knn_distribution([0.3, 5.0], [7, 7], temperature=2.0,
                                  vocab_size=10)
         assert probs[7] == 1.0
         assert probs.sum() == 1.0
 
     def test_hand_evaluated_softmax(self):
         # weights exp(0)=1 and exp(-ln 2)=1/2 give 2/3 vs 1/3
-        probs = knn_distribution([nb(0.0, 1), nb(math.log(2), 2)],
+        probs = knn_distribution([0.0, math.log(2)], [1, 2],
                                  temperature=1.0, vocab_size=4)
         assert probs[1] == pytest.approx(2 / 3, abs=1e-12)
         assert probs[2] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_large_temperature_flattens(self):
-        probs = knn_distribution([nb(0.0, 1), nb(100.0, 2)], temperature=1e6,
+        probs = knn_distribution([0.0, 100.0], [1, 2], temperature=1e6,
                                  vocab_size=4)
         assert probs[1] == pytest.approx(0.5, abs=1e-4)
         assert probs[2] == pytest.approx(0.5, abs=1e-4)
 
     def test_absent_tokens_get_exact_zero(self):
-        probs = knn_distribution([nb(1.0, 3)], temperature=1.0, vocab_size=6)
+        probs = knn_distribution([1.0], [3], temperature=1.0, vocab_size=6)
         assert probs[3] == 1.0
         assert all(probs[v] == 0.0 for v in range(6) if v != 3)
 
     def test_huge_distances_do_not_underflow(self):
-        probs = knn_distribution([nb(1e9, 1), nb(1e9 + 1.0, 2)], temperature=1.0,
+        probs = knn_distribution([1e9, 1e9 + 1.0], [1, 2], temperature=1.0,
                                  vocab_size=4)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert probs[1] > probs[2] > 0.0
 
     def test_empty_retrieval(self):
         with pytest.raises(EmptyRetrievalError):
-            knn_distribution([], temperature=1.0, vocab_size=4)
+            knn_distribution([], [], temperature=1.0, vocab_size=4)
 
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
-            knn_distribution([nb(0.0, 1)], temperature=0.0, vocab_size=4)
+            knn_distribution([0.0], [1], temperature=0.0, vocab_size=4)
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -75,9 +71,13 @@ class TestKnnDistribution:
         dists = data.draw(st.lists(st.floats(0, 1e6), min_size=k, max_size=k))
         tokens = data.draw(st.lists(st.integers(0, 49), min_size=k, max_size=k))
         temperature = data.draw(st.floats(1e-3, 1e6))
-        probs = knn_distribution([nb(d, t) for d, t in zip(dists, tokens)],
-                                 temperature, vocab_size=50)
+        probs = knn_distribution(dists, tokens, temperature, vocab_size=50)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
+        # reference: the weights added one neighbour at a time, in order
+        weights = np.exp(-(np.array(dists) - min(dists)) / temperature)
+        ref = np.zeros(50)
+        np.add.at(ref, tokens, weights)
+        assert np.array_equal(probs, ref / ref.sum())
 
     def test_monotone_flattening(self):
         # distinct tokens keep the argmax stable, so flattening is strict
@@ -86,10 +86,9 @@ class TestKnnDistribution:
             k = int(rng.integers(2, 16))
             tokens = rng.choice(50, size=k, replace=False)
             dists = rng.uniform(0, 10, size=k)
-            neighbors = [nb(d, int(t)) for d, t in zip(dists, tokens)]
             last = None
             for temperature in (0.5, 1.0, 2.0, 4.0, 8.0):
-                peak = knn_distribution(neighbors, temperature, 50).max()
+                peak = knn_distribution(dists, tokens, temperature, 50).max()
                 if last is not None:
                     assert peak < last
                 last = peak

@@ -90,6 +90,13 @@ class TestBuild:
         with pytest.raises(MalformedDumpError):
             build_datastore(records, 10, "XX")
 
+    def test_non_finite_key_rejected(self):
+        for bad in (np.nan, np.inf):
+            keys = np.zeros((3, 4))
+            keys[1, 2] = bad
+            with pytest.raises(MalformedDumpError):
+                build_datastore(make_records(keys, 0, np.arange(3), 0), 10, "xx")
+
     def test_scaled_published_shape(self):
         # 1/1000-scale counts shaped like a real low-resource/high-resource pair
         rng = np.random.default_rng(7)
@@ -127,6 +134,12 @@ class TestQuery:
                 assert [nb.entry_index for nb in got] == [i for i, _ in expected]
                 assert np.allclose([nb.distance for nb in got],
                                    [d for _, d in expected], rtol=1e-12)
+                # rows read by attribute above; the columns are the index's arrays
+                assert got.dtype == vecstore.NEIGHBOR_DTYPE
+                idx, dists = store.index.search(q, k)
+                assert np.array_equal(got.entry_index, idx)
+                assert np.array_equal(got.distance, dists)
+                assert np.array_equal(got.token_id, store.token_ids[idx])
 
     def test_distances_nondecreasing_and_count(self):
         rng = np.random.default_rng(2)
@@ -270,9 +283,16 @@ class TestProvenance:
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(14)
         store = random_store(rng, 60, 8, langs=("aa", "bb", "cc"))
-        stats = provenance_stats(store, [(rng.normal(size=8), 4) for _ in range(25)])
+        queries = [(rng.normal(size=8), 4) for _ in range(25)]
+        stats = provenance_stats(store, queries)
         assert sum(s.p_obs for s in stats.values()) == pytest.approx(1.0, abs=1e-9)
         assert sum(s.p_uni for s in stats.values()) == pytest.approx(1.0, abs=1e-9)
+        counts = dict.fromkeys(store.lang_codes, 0)
+        for q, k in queries:
+            for nb in query(store, q, k):
+                counts[store.lang_codes[store.lang_indices[nb.entry_index]]] += 1
+        for code, s in stats.items():
+            assert s.p_obs == counts[code] / 100
 
     def test_uniform_self_queries_give_unit_ratio(self):
         rng = np.random.default_rng(15)
@@ -381,6 +401,14 @@ class TestPersistence:
         path.write_bytes(raw[:tok_at] + struct.pack("<I", 9999) + raw[tok_at + 4:])
         with pytest.raises(CorruptFileError):
             load_datastore(path)
+
+    def test_non_finite_key_rejected_on_load(self, tmp_path):
+        path, raw, payload = self.saved_store(tmp_path, 24)
+        vec_at = len(raw) - payload + 12 + 4 * 3  # first record's fourth key component
+        for bad in (np.nan, np.inf):
+            path.write_bytes(raw[:vec_at] + struct.pack("<f", bad) + raw[vec_at + 4:])
+            with pytest.raises(CorruptFileError):
+                load_datastore(path)
 
     def test_unknown_index_kind_rejected(self, tmp_path):
         path, raw, _ = self.saved_store(tmp_path, 23)
