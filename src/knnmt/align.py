@@ -18,9 +18,11 @@ from .errors import (
     CorruptFileError,
     DimensionMismatchError,
     EmptyPairsError,
+    NonFiniteKeyError,
     SingularSystemError,
 )
-from .vecstore import Datastore, context_rows, _check_end, _read_dim, _read_exact, _read_lang
+from .vecstore import (Datastore, context_rows, _check_end, _check_finite, _read_dim,
+                       _read_exact, _read_lang)
 
 KLM_MAGIC = b"KLM1\x00\x00"
 
@@ -158,12 +160,17 @@ def apply_map(lin_map: LinearMap, v: np.ndarray) -> np.ndarray:
 
 
 def map_datastore(store: Datastore, lin_map: LinearMap) -> Datastore:
-    """Replace every key with its mapped image; values and provenance unchanged."""
+    """Replace every key with its mapped image; values and provenance unchanged.
+
+    Raises NonFiniteKeyError when a mapped key, rounded to float32, has a NaN
+    or inf component, which no store may hold.
+    """
     if store.dim != lin_map.dim:
         raise DimensionMismatchError(
             f"store dimension {store.dim} does not match map dimension {lin_map.dim}")
     rows = store.rows.copy()
     rows["vec"] = store.keys.astype(np.float64) @ lin_map.matrix.T  # rounded to f4 on assignment
+    _check_finite(rows["vec"], NonFiniteKeyError)
     return Datastore(rows, store.vocab_size, store.lang_codes, store.index_spec)
 
 

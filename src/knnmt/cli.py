@@ -297,8 +297,8 @@ class BenchRow:
 def bench_step(store: vecstore.Datastore, q: np.ndarray, k: int,
                base: np.ndarray) -> np.ndarray:
     """One decoded token's worth of work: retrieval, softmax, interpolation."""
-    nbrs = vecstore.query(store, q, k)
-    p_knn = decode.knn_distribution(nbrs.distance, nbrs.token_id, BENCH_TEMPERATURE,
+    nbrs = vecstore.query(store, q, k).view(np.ndarray)
+    p_knn = decode.knn_distribution(nbrs["distance"], nbrs["token_id"], BENCH_TEMPERATURE,
                                     store.vocab_size)
     return decode.interpolate(p_knn, base, BENCH_LAMBDA)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -125,8 +126,8 @@ def step_distribution(model: BaseModel, source: Sequence[int],
             f"featurizer produces d={q.shape[0]}, store has d={store.dim}")
     k = min(cfg.k, len(store))  # tiny stores: clamp rather than fail mid-decode
     try:
-        nbrs = query(store, q, k)
-        p_knn = knn_distribution(nbrs.distance, nbrs.token_id, cfg.temperature,
+        nbrs = query(store, q, k).view(np.ndarray)  # plain fields skip recarray's Python lookup
+        p_knn = knn_distribution(nbrs["distance"], nbrs["token_id"], cfg.temperature,
                                  store.vocab_size)
     except EmptyRetrievalError:
         return p_base
@@ -204,12 +205,41 @@ def decode_beam(model: BaseModel, source: Sequence[int], beam_size: int, *,
     return tokens
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the elements that differ from their predecessor (the first always does)."""
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = values[1:] != values[:-1]
+    return starts
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.arange(s, s + n)`` for each start s and length n, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _find(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Indices in ``sorted_values`` of those ``values`` it holds, in order."""
+    lo = np.searchsorted(sorted_values, values)
+    return lo[lo < np.searchsorted(sorted_values, values, side="right")]
+
+
 class ToyBaseModel:
     """Deterministic count-based stand-in for a trained translation model.
 
     next_distribution is an add-one-smoothed count model over
     (source-bag token, previous token, next token) triples, restricted to
     target tokens that co-occurred with the source bag during training.
+    Training leaves read-only arrays. ``_sources`` and ``_prevs`` hold the
+    sorted distinct source and previous tokens, and ``s`` and ``p`` below
+    are indices into them. The counts are compressed sparse rows, one per
+    observed (source token, previous token) pair: ``_row_keys`` holds the
+    sorted keys ``s * len(_prevs) + p``, and row r spans
+    ``_indptr[r]:_indptr[r + 1]`` of ``_cols`` (sorted next-token ids) and
+    ``_counts``. ``_mask[s]`` marks the target tokens that co-occurred with
+    source token s. A source or previous token never seen in training has
+    no row and adds nothing. Training raises DimensionMismatchError for a
+    target token outside ``[0, vocab_size)`` or a vocabulary too small to
+    hold the begin and end tokens.
     featurize hashes the source bag plus the last two prefix tokens into a
     fixed-dimension vector, L2-normalized unless the signed hashes cancel
     exactly, in which case it is all-zero. Both are safe for concurrent
@@ -224,27 +254,65 @@ class ToyBaseModel:
         self.vocab_size = vocab_size
         self.dim = dim
         self._seed = hash_seed.to_bytes(8, "little")
-        self._cooc: dict[int, set[int]] = {}
-        self._counts: dict[tuple[int, int, int], int] = {}
-        for source, target in pairs:
-            bag = set(source)
-            trajectory = [BOS_ID, *target, EOS_ID]
-            for prev, nxt in zip(trajectory, trajectory[1:]):
-                for s in bag:
-                    key = (s, prev, nxt)
-                    self._counts[key] = self._counts.get(key, 0) + 1
-                    self._cooc.setdefault(s, set()).add(nxt)
+        src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
+        tgt_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
+        sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,
+                              int(src_lens.sum()))
+        paths = np.fromiter(chain.from_iterable((BOS_ID, *t, EOS_ID) for _, t in pairs),
+                            np.int64, int(tgt_lens.sum()) + 2 * len(pairs))
+        if not 0 <= paths.min() <= paths.max() < vocab_size:
+            raise DimensionMismatchError(
+                f"a target or special token lies outside the vocabulary of {vocab_size}")
+        # pair i's transitions, <bos> t_1 .. t_n -> t_1 .. t_n <eos>, from first[i] on
+        ends = np.cumsum(tgt_lens + 2)
+        prev = np.delete(paths, ends - 1)
+        nxt = np.delete(paths, ends - tgt_lens - 2)
+        steps = tgt_lens + 1
+        first = np.cumsum(steps) - steps
+        # ids packed below are products of two dense codes, each below an
+        # array length, so no vocabulary size can overflow them
+        self._sources, src_code = np.unique(sources, return_inverse=True)
+        self._prevs, prev_code = np.unique(prev, return_inverse=True)
+        nexts, next_code = np.unique(nxt, return_inverse=True)
+        # distinct (prev, next) transitions, numbered in (prev, next) order
+        moves, move_code = np.unique(prev_code * nexts.size + next_code, return_inverse=True)
+        # each pair's source bag: distinct (pair, source token)
+        n_src = self._sources.size
+        bag = np.sort(np.repeat(np.arange(len(pairs), dtype=np.int64), src_lens) * n_src
+                      + src_code)
+        bag_pair, bag_code = np.divmod(bag[_run_starts(bag)], n_src)
+        # every bag token of a pair times every transition of that pair,
+        # counted as (source, transition) ids, which sort as (source, prev, next)
+        reps = steps[bag_pair]
+        trans = _ranges(first[bag_pair], reps)
+        triples, self._counts = np.unique(
+            np.repeat(bag_code * moves.size, reps) + move_code[trans], return_counts=True)
+        src_of, move_of = np.divmod(triples, moves.size)
+        prev_of, next_of = np.divmod(moves[move_of], nexts.size)
+        rows = src_of * self._prevs.size + prev_of
+        row_starts = np.flatnonzero(_run_starts(rows))
+        self._row_keys = rows[row_starts]
+        self._indptr = np.append(row_starts, rows.size)
+        self._cols = nexts[next_of]
+        self._mask = np.zeros((self._sources.size, vocab_size), dtype=bool)
+        self._mask[src_of, self._cols] = True
+        for table in (self._sources, self._prevs, self._row_keys, self._indptr,
+                      self._cols, self._counts, self._mask):
+            table.flags.writeable = False
 
     def next_distribution(self, source: Sequence[int],
                           prefix: Sequence[int]) -> np.ndarray:
-        bag = set(source)
+        codes = _find(self._sources, np.array(sorted(set(source)), dtype=np.int64))
+        allowed = self._mask[codes].any(axis=0)
+        allowed[EOS_ID] = True
         prev = prefix[-1] if len(prefix) else BOS_ID
-        allowed: set[int] = {EOS_ID}
-        for s in bag:
-            allowed |= self._cooc.get(s, set())
-        probs = np.zeros(self.vocab_size, dtype=np.float64)
-        for tok in allowed:
-            probs[tok] = 1.0 + sum(self._counts.get((s, prev, tok), 0) for s in bag)
+        p = _find(self._prevs, np.array([prev], dtype=np.int64))  # empty if never seen
+        rows = _find(self._row_keys, codes * self._prevs.size + p) if p.size else p
+        lo = self._indptr[rows]
+        picks = _ranges(lo, self._indptr[rows + 1] - lo)
+        counts = np.bincount(self._cols[picks], weights=self._counts[picks],
+                             minlength=self.vocab_size)
+        probs = np.where(allowed, 1.0 + counts, 0.0)
         return probs / probs.sum()
 
     def featurize(self, source: Sequence[int],

@@ -49,6 +49,10 @@ class SingularSystemError(KnnmtError):
     """Normal equations are singular; retry with ridge > 0."""
 
 
+class NonFiniteKeyError(KnnmtError):
+    """A linear map sends a key to a vector with a NaN or inf component."""
+
+
 class NoOverlapError(KnnmtError):
     """Two context dumps share no sentences."""
 

@@ -338,14 +338,19 @@ class Datastore:
         return self.rows.size
 
 
+def _check_finite(keys: np.ndarray, error) -> None:
+    """Raise ``error`` when a key has a NaN or inf component."""
+    for start in range(0, keys.shape[0], _CHUNK_ROWS):  # no mask of the whole store at once
+        if not np.isfinite(keys[start:start + _CHUNK_ROWS]).all():
+            raise error("a key has a NaN or inf component")
+
+
 def _check_columns(dim: int, keys: np.ndarray, token_ids: np.ndarray, vocab_size: int,
                    error) -> None:
     """Raise ``error`` for a bad dimension, a NaN or inf key, or an out-of-vocabulary token."""
     if dim < 1:
         raise error(f"dimension must be positive, got {dim}")
-    for start in range(0, keys.shape[0], _CHUNK_ROWS):  # no mask of the whole store at once
-        if not np.isfinite(keys[start:start + _CHUNK_ROWS]).all():
-            raise error("a key has a NaN or inf component")
+    _check_finite(keys, error)
     if token_ids.size and int(token_ids.max()) >= vocab_size:
         raise error(f"token id {int(token_ids.max())} outside the vocabulary of {vocab_size}")
 

@@ -15,6 +15,7 @@ from knnmt.errors import (
     CorruptFileError,
     DimensionMismatchError,
     EmptyPairsError,
+    NonFiniteKeyError,
     SingularSystemError,
 )
 from knnmt.vecstore import build_datastore, make_records, merge_datastores, query
@@ -276,6 +277,12 @@ class TestMapDatastore:
         store = self.make_store(rng, rng.normal(size=(10, 8)), np.arange(10))
         with pytest.raises(DimensionMismatchError):
             map_datastore(store, LinearMap(np.eye(4), "aa", "bb", 0.0))
+
+    def test_non_finite_mapped_keys_rejected(self):
+        # 1e39 overflows float32, so every mapped key would be inf
+        store = self.make_store(None, np.ones((4, 4)), np.arange(3, 7))
+        with pytest.raises(NonFiniteKeyError):
+            map_datastore(store, LinearMap(np.eye(4) * 1e39, "aa", "aa", 0.0))
 
 
 class TestPersistence:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from knnmt import cli, vecstore
-from knnmt.align import load_linear_map
+from knnmt.align import LinearMap, load_linear_map, save_linear_map
 from knnmt.vecstore import DumpHeader, load_datastore, make_records, write_dump
 
 
@@ -183,6 +183,17 @@ class TestMapCommands:
         assert run("map-apply", "--map", map_path, "--store", built_store,
                    "--out", mapped) == 0
         assert len(load_datastore(mapped)) == len(load_datastore(built_store))
+
+    def test_apply_with_overflowing_map_exits_2_and_writes_nothing(self, tmp_path):
+        # each mapped component is 4 * 1e38, beyond float32's largest finite value
+        store_path, map_path = tmp_path / "ones.kds", tmp_path / "big.klm"
+        records = make_records(np.ones((4, 4)), [3, 4, 5, 6], np.arange(4), 0)
+        vecstore.save_datastore(vecstore.build_datastore(records, 10, "aa"), store_path)
+        save_linear_map(LinearMap(np.ones((4, 4)) * 1e38, "aa", "aa", 0.0), map_path)
+        out = tmp_path / "mapped.kds"
+        assert run("map-apply", "--map", map_path, "--store", store_path,
+                   "--out", out) == 2
+        assert not out.exists()
 
 
 class TestBleuCommand:

@@ -332,3 +332,91 @@ class TestBeam:
         model, _ = toy_setup(seed=9)
         with pytest.raises(ValueError):
             decode_beam(model, [3], 0)
+
+
+class ReferenceToyModel:
+    """The dict-of-triples toy model the array tables replaced, kept as their oracle."""
+
+    def __init__(self, pairs, vocab_size):
+        self.vocab_size = vocab_size
+        self._cooc = {}
+        self._counts = {}
+        for source, target in pairs:
+            bag = set(source)
+            trajectory = [BOS_ID, *target, EOS_ID]
+            for prev, nxt in zip(trajectory, trajectory[1:]):
+                for s in bag:
+                    key = (s, prev, nxt)
+                    self._counts[key] = self._counts.get(key, 0) + 1
+                    self._cooc.setdefault(s, set()).add(nxt)
+
+    def next_distribution(self, source, prefix):
+        bag = set(source)
+        prev = prefix[-1] if len(prefix) else BOS_ID
+        allowed = {EOS_ID}
+        for s in bag:
+            allowed |= self._cooc.get(s, set())
+        probs = np.zeros(self.vocab_size, dtype=np.float64)
+        for tok in allowed:
+            probs[tok] = 1.0 + sum(self._counts.get((s, prev, tok), 0) for s in bag)
+        return probs / probs.sum()
+
+
+class TestToyModelOracle:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_model(self, data):
+        vocab_size = data.draw(st.integers(4, 2000))
+        # a small shared id range makes repeated tokens and shared contexts likely
+        target_tok = st.one_of(st.integers(0, min(vocab_size - 1, 12)),
+                               st.integers(0, vocab_size - 1))
+        # sources may hold ids the vocabulary does not, and negative ones
+        source_tok = st.one_of(st.integers(-2, 14), st.integers(-2, vocab_size + 5))
+        pairs = data.draw(st.lists(
+            st.tuples(st.lists(source_tok, max_size=6), st.lists(target_tok, max_size=6)),
+            min_size=1, max_size=8))
+        model = ToyBaseModel(pairs, vocab_size=vocab_size, dim=8)
+        reference = ReferenceToyModel(pairs, vocab_size)
+        queries = [([], []), ([], [BOS_ID])]
+        for source, target in pairs:  # teacher-forced, then empty-prefix
+            queries += [(source, [BOS_ID, *target[:t]]) for t in range(len(target) + 1)]
+            queries.append((source, []))
+        queries += data.draw(st.lists(
+            st.tuples(st.lists(source_tok, max_size=6),
+                      st.lists(st.integers(-2, vocab_size + 5), max_size=4)),
+            max_size=10))
+        for source, prefix in queries:
+            assert np.array_equal(model.next_distribution(source, prefix),
+                                  reference.next_distribution(source, prefix))
+
+    def test_teacher_forced_gen_toy_corpus(self):
+        from knnmt import toygen
+        data = toygen.generate(toygen.ToySpec(langs=("aa",), n_train=300, n_test=0,
+                                              n_words=60, seed=101))
+        vocab = data.vocab
+        pairs = [(vocab.encode(s), vocab.encode(t)) for s, t in data.train["aa"]]
+        model = ToyBaseModel(pairs, vocab_size=len(vocab), dim=16)
+        reference = ReferenceToyModel(pairs, len(vocab))
+        calls = 0
+        for source, target in pairs:
+            prefix = [BOS_ID]
+            for token in [*target, EOS_ID]:
+                assert np.array_equal(model.next_distribution(source, prefix),
+                                      reference.next_distribution(source, prefix))
+                prefix.append(token)
+                calls += 1
+        assert calls == sum(len(t) + 1 for _, t in pairs)
+
+    def test_tables_are_read_only(self):
+        model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=16)
+        tables = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+        assert tables and not any(t.flags.writeable for t in tables)
+
+    @pytest.mark.parametrize("pairs,vocab_size", [
+        ([([3], [10])], 10),  # target id at the vocabulary size
+        ([([3], [-1])], 10),  # negative target id
+        ([([3], [1])], 2),    # the end token does not fit the vocabulary
+    ])
+    def test_target_outside_vocabulary_rejected(self, pairs, vocab_size):
+        with pytest.raises(DimensionMismatchError):
+            ToyBaseModel(pairs, vocab_size=vocab_size)
