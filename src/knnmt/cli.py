@@ -3,7 +3,9 @@
 Every run is deterministic given its inputs and seed and emits a JSON run
 manifest (``<output>.run.json`` unless overridden) recording the config,
 seed, timings, and throughput. Each ``cmd_*`` returns its default manifest
-path and its result fields; ``main`` times the call and writes the manifest.
+path and its result fields; ``main`` times the call, in wall-clock
+(``elapsed_seconds``) and CPU (``cpu_seconds``) seconds, and writes the
+manifest.
 Exit codes: 0 success, 2 input error, 3 incompatibility, 4 internal
 invariant violation.
 """
@@ -128,11 +130,13 @@ def _write_manifest(args: argparse.Namespace, default: str | None, fields: dict)
         f.write("\n")
 
 
-def _load_model(args) -> tuple[Vocabulary, decode.ToyBaseModel]:
+def _load_model(args) -> tuple[Vocabulary, list[tuple[list[int], list[int]]],
+                               decode.ToyBaseModel]:
+    """The vocabulary, the encoded training pairs and the toy model trained on them."""
     vocab = Vocabulary.from_file(args.vocab)
     pairs = encode_pairs(load_parallel(args.train_src, args.train_tgt), vocab)
     model = decode.toy_base_model(pairs, vocab_size=len(vocab), dim=args.dim)
-    return vocab, model
+    return vocab, pairs, model
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +172,8 @@ def cmd_build(args) -> tuple[str | None, dict]:
                 raise EmptyInputError(
                     "build needs either --dump or the corpus flags "
                     "(--train-src/--train-tgt/--vocab/--src-lang)")
-        vocab, model = _load_model(args)
-        pairs = encode_pairs(load_parallel(args.train_src, args.train_tgt), vocab)
-        records = np.concatenate([decode.trajectory_records(model, src, tgt, sid)
-                                  for sid, (src, tgt) in enumerate(pairs)])
+        vocab, pairs, model = _load_model(args)
+        records = decode.trajectory_records(model, pairs)
         vocab_size, lang = len(vocab), args.src_lang
         source_desc = f"{args.train_src} -> {args.train_tgt}"
         if args.emit_dump:
@@ -237,7 +239,7 @@ def cmd_map_apply(args) -> tuple[str | None, dict]:
 
 
 def cmd_translate(args) -> tuple[str | None, dict]:
-    vocab, model = _load_model(args)
+    vocab, _, model = _load_model(args)
     store = None
     if args.store:
         stores = [vecstore.load_datastore(p) for p in args.store]
@@ -256,12 +258,13 @@ def cmd_translate(args) -> tuple[str | None, dict]:
 
     outputs: list[list[int]] = []
     token_count = 0
-    elapsed = 0.0
+    elapsed = cpu = 0.0
     if encoded:
         outputs.append(run(encoded[0]))  # warm-up batch, excluded from timing
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), time.process_time()
         outputs.extend(run(s) for s in encoded[1:])
         elapsed = time.perf_counter() - started
+        cpu = time.process_time() - cpu_started
         token_count = sum(len(o) for o in outputs[1:])
     with open(args.output, "w", encoding="utf-8") as f:
         for out in outputs:
@@ -269,7 +272,7 @@ def cmd_translate(args) -> tuple[str | None, dict]:
     print(f"translated {len(outputs)} sentences into {args.output}")
     # decode-only timing: model and store loading and the warm-up are excluded
     return args.output + ".run.json", {
-        "elapsed_seconds": elapsed, "sentences": len(outputs),
+        "elapsed_seconds": elapsed, "cpu_seconds": cpu, "sentences": len(outputs),
         "tokens_decoded": token_count,
         "tokens_per_sec": token_count / elapsed if elapsed > 0 else None}
 
@@ -592,10 +595,11 @@ def main(argv: list[str] | None = None) -> int:
             if key not in explicit:  # explicit flags beat file values
                 setattr(args, key, value)
     try:
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), time.process_time()
         default_manifest, fields = args.func(args)
         _write_manifest(args, default_manifest,
-                        {"elapsed_seconds": time.perf_counter() - started, **fields})
+                        {"elapsed_seconds": time.perf_counter() - started,
+                         "cpu_seconds": time.process_time() - cpu_started, **fields})
         return EXIT_OK
     except _INCOMPATIBLE as exc:
         print(f"error: {exc}", file=sys.stderr)

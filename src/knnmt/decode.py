@@ -22,7 +22,7 @@ from .errors import (
     UntrainedModelError,
 )
 from .align import apply_map
-from .vecstore import Datastore, make_records, query
+from .vecstore import Datastore, query, record_dtype
 
 PROB_FLOOR = 1e-12  # floor before log; keeps zero-support tokens finite
 FEATURE_HASH_SEED = 0x5EED
@@ -240,10 +240,13 @@ class ToyBaseModel:
     no row and adds nothing. Training raises DimensionMismatchError for a
     target token outside ``[0, vocab_size)`` or a vocabulary too small to
     hold the begin and end tokens.
-    featurize hashes the source bag plus the last two prefix tokens into a
+    featurize hashes the source tokens plus the last two prefix tokens into a
     fixed-dimension vector, L2-normalized unless the signed hashes cancel
-    exactly, in which case it is all-zero. Both are safe for concurrent
-    read-only use after construction.
+    exactly, in which case it is all-zero. Each feature string is hashed
+    with blake2b once per model: ``_features`` memoizes its (slot, sign) on
+    first use, so featurize, unlike next_distribution, writes to the model.
+    Concurrent callers can at worst hash one feature twice and store the
+    same pair.
     """
 
     def __init__(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
@@ -253,7 +256,7 @@ class ToyBaseModel:
             raise UntrainedModelError("toy model needs a non-empty corpus")
         self.vocab_size = vocab_size
         self.dim = dim
-        self._seed = hash_seed.to_bytes(8, "little")
+        self._features = _FeatureHashes(hash_seed.to_bytes(8, "little"), dim)
         src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
         tgt_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
         sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,
@@ -318,27 +321,37 @@ class ToyBaseModel:
     def featurize(self, source: Sequence[int],
                   prefix: Sequence[int]) -> np.ndarray:
         """Hashed context key: unit L2 norm, or all-zero when the hashes cancel."""
-        vec = np.zeros(self.dim, dtype=np.float64)
         prev1 = prefix[-1] if len(prefix) >= 1 else BOS_ID
         prev2 = prefix[-2] if len(prefix) >= 2 else BOS_ID
-        features = [("s", tok) for tok in source]
+        features = [f"s:{tok}" for tok in source]
         # unigram and bigram views of the last two prefix tokens; the bigram
         # keeps sign-cancellation collisions of the unigrams from aliasing
         # distinct contexts onto one key
-        features += [("p1", prev1), ("p2", prev2), ("p12", f"{prev2},{prev1}")]
-        for kind, value in features:
-            h = self._hash(f"{kind}:{value}")
-            sign = 1.0 if h & 1 == 0 else -1.0
-            vec[(h >> 1) % self.dim] += sign
-        norm = np.linalg.norm(vec)
+        features += (f"p1:{prev1}", f"p2:{prev2}", f"p12:{prev2},{prev1}")
+        counts = [0] * self.dim
+        for slot, sign in map(self._features.__getitem__, features):
+            counts[slot] += sign
+        vec = np.array(counts, dtype=np.float64)
+        norm = np.sqrt(vec @ vec)  # a sum of squared integers: exact in any order
         if norm > 0:
             vec /= norm
         return vec.astype(np.float32)
 
-    def _hash(self, feature: str) -> int:
+
+class _FeatureHashes(dict):
+    """Feature string -> (slot, sign) of its keyed blake2b hash, hashed on first lookup."""
+
+    def __init__(self, key: bytes, dim: int):
+        super().__init__()
+        self._key = key
+        self._dim = dim
+
+    def __missing__(self, feature: str) -> tuple[int, int]:
         digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8,
-                                 key=self._seed).digest()
-        return int.from_bytes(digest, "little")
+                                 key=self._key).digest()
+        h = int.from_bytes(digest, "little")
+        self[feature] = hit = ((h >> 1) % self._dim, -1 if h & 1 else 1)
+        return hit
 
 
 def toy_base_model(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
@@ -347,14 +360,75 @@ def toy_base_model(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     return ToyBaseModel(pairs, vocab_size=vocab_size, dim=dim)
 
 
-def trajectory_records(model: BaseModel, source: Sequence[int],
-                       target: Sequence[int], sentence_id: int) -> np.ndarray:
-    """Teacher-forced (featurize, token) pairs for one sentence, as ``record_dtype`` rows.
+_TRAJECTORY_SLICE = 1024  # sentences per slice of float64 keys
 
-    Emits one record per target position plus the end-of-sequence step, so a
-    datastore built from these can reproduce full trajectories at lam=1.
+
+def _slots_signs(features: _FeatureHashes, names: list[str],
+                 codes: np.ndarray) -> np.ndarray:
+    """(slot, sign) rows of ``names[codes]``, one memo lookup per name."""
+    table = np.array([features[name] for name in names], dtype=np.int64).reshape(-1, 2)
+    return table[codes]
+
+
+def trajectory_records(model: ToyBaseModel,
+                       pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> np.ndarray:
+    """Teacher-forced (featurize, token) records of a corpus, as ``record_dtype`` rows.
+
+    Pair i gives one record per target position plus the end-of-sequence
+    step, with sentence id i, so a datastore built from these can reproduce
+    full trajectories at lam=1. Every key is ``model.featurize(source,
+    prefix)`` bit for bit: the signed hash counts are integers, exact in any
+    order, so each sentence's source part is summed once and each step adds
+    its three prefix features to it. Keys are made a slice of sentences at a
+    time, straight into the returned rows.
     """
-    trajectory = [*target, EOS_ID]
-    prefix = [BOS_ID, *trajectory]
-    vectors = [model.featurize(source, prefix[:t + 1]) for t in range(len(trajectory))]
-    return make_records(vectors, trajectory, sentence_id, np.arange(len(trajectory)))
+    dim = model.dim
+    src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
+    steps = np.array([len(t) + 1 for _, t in pairs], dtype=np.int64)
+    sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,
+                          int(src_lens.sum()))
+    # pair i's path <bos> <bos> t_1 .. t_n <eos>: step j reads prev2, prev1
+    # and its token at path[j], path[j + 1] and path[j + 2]
+    paths = np.fromiter(chain.from_iterable((BOS_ID, BOS_ID, *t, EOS_ID) for _, t in pairs),
+                        np.int64, int(steps.sum()) + 2 * len(pairs))
+    records = np.empty(int(steps.sum()), dtype=record_dtype(dim))
+    sentence = np.repeat(np.arange(len(pairs), dtype=np.int64), steps)
+    row_ends = np.cumsum(steps)
+    at = np.arange(records.size) + 2 * sentence
+    records["sid"] = sentence
+    records["ts"] = np.arange(records.size) - (row_ends - steps)[sentence]
+    records["tok"] = paths[at + 2]
+
+    features = model._features
+    tokens, src_codes = np.unique(sources, return_inverse=True)
+    src_hashes = _slots_signs(features, [f"s:{v}" for v in tokens.tolist()], src_codes)
+    prevs, prev_codes = np.unique(np.stack([paths[at], paths[at + 1]]), return_inverse=True)
+    code2, code1 = prev_codes.reshape(2, -1)
+    names = prevs.tolist()
+    bigrams, bigram_codes = np.unique(code2 * len(names) + code1, return_inverse=True)
+    step_hashes = (
+        _slots_signs(features, [f"p1:{v}" for v in names], code1),
+        _slots_signs(features, [f"p2:{v}" for v in names], code2),
+        _slots_signs(features, [f"p12:{names[b // len(names)]},{names[b % len(names)]}"
+                                for b in bigrams.tolist()], bigram_codes),
+    )
+    src_sentence = np.repeat(np.arange(len(pairs), dtype=np.int64), src_lens)
+    src_ends = np.cumsum(src_lens)
+    for lo in range(0, len(pairs), _TRAJECTORY_SLICE):
+        hi = min(lo + _TRAJECTORY_SLICE, len(pairs))
+        r0, r1 = row_ends[lo] - steps[lo], row_ends[hi - 1]
+        s0, s1 = src_ends[lo] - src_lens[lo], src_ends[hi - 1]
+        slot, sign = src_hashes[s0:s1].T
+        source_part = np.bincount((src_sentence[s0:s1] - lo) * dim + slot, weights=sign,
+                                  minlength=(hi - lo) * dim).reshape(hi - lo, dim)
+        # float64 also when no sentence of the slice has a source token:
+        # bincount then returns int64 zeros
+        vec = source_part[sentence[r0:r1] - lo].astype(np.float64, copy=False)
+        rows = np.arange(r1 - r0)
+        for hashes in step_hashes:
+            slot, sign = hashes[r0:r1].T
+            vec[rows, slot] += sign  # one feature per row: no repeated index
+        norm = np.sqrt(np.einsum("ij,ij->i", vec, vec))
+        vec /= np.where(norm > 0, norm, 1.0)[:, None]
+        records["vec"][r0:r1] = vec  # rounded to float32, as featurize's astype
+    return records

@@ -14,6 +14,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -104,6 +105,13 @@ class IndexSpec:
     n_cells: int = 0
     n_probe: int = 0
     train_size: int = DEFAULT_TRAIN_SIZE
+
+    def __post_init__(self):
+        # checked here, not when the index is built on a store's first search
+        if self.kind not in ("exact-scan", "cell-probe"):
+            raise ValueError(f"unknown index kind: {self.kind}")
+        if self.kind == "cell-probe" and (self.n_cells < 1 or self.n_probe < 1):
+            raise ValueError("n_cells and n_probe must be positive")
 
 
 def squared_distances(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -212,7 +220,7 @@ class ExactScanIndex:
         self._norms = None  # on the first search: building or loading a store stays as cheap
 
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._norms is None:  # threads that race here compute the same array
+        if self._norms is None:
             self._norms = _row_norms(self._keys)
         return _certified_topk(self._keys, self._norms, q, k)
 
@@ -303,9 +311,7 @@ def _assign_cells(keys: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _build_index(keys: np.ndarray, spec: IndexSpec):
     if spec.kind == "exact-scan":
         return ExactScanIndex(keys)
-    if spec.kind == "cell-probe":
-        return CellProbeIndex(keys, spec.n_cells, spec.n_probe, spec.train_size)
-    raise ValueError(f"unknown index kind: {spec.kind}")
+    return CellProbeIndex(keys, spec.n_cells, spec.n_probe, spec.train_size)
 
 
 class Datastore:
@@ -313,8 +319,11 @@ class Datastore:
 
     ``rows`` holds the entries as one array of ``store_dtype`` rows, which the
     constructor makes read-only; ``keys``, ``token_ids``, ``sentence_ids``,
-    ``timesteps`` and ``lang_indices`` are views of its columns. Concurrent
-    readers are safe once built.
+    ``timesteps`` and ``lang_indices`` are views of its columns. The search
+    index is built from ``index_spec`` on the first access to ``index``,
+    which ``query`` makes, so building, merging, mapping or saving a store
+    runs no k-means. Neither the index nor its row norms are built under a
+    lock; the program searches a store from one thread.
     """
 
     def __init__(self, rows: np.ndarray, vocab_size: int,
@@ -330,12 +339,16 @@ class Datastore:
         self.lang_codes = lang_codes
         self.lang_indices = rows["lang"]
         self.index_spec = index_spec
-        self.index = _build_index(self.keys, index_spec)
         counts = np.bincount(self.lang_indices, minlength=len(lang_codes))
         self.languages = {code: int(counts[i]) for i, code in enumerate(lang_codes)}
 
     def __len__(self) -> int:
         return self.rows.size
+
+    @cached_property
+    def index(self):
+        """The ``ExactScanIndex`` or ``CellProbeIndex`` of ``index_spec``, built once."""
+        return _build_index(self.keys, self.index_spec)
 
 
 def _check_finite(keys: np.ndarray, error) -> None:
@@ -381,23 +394,22 @@ def build_datastore(records: np.ndarray, vocab_size: int, lang: str,
 
 
 def _index_spec(kind: str, params: dict | None, n_entries: int) -> IndexSpec:
+    if kind != "cell-probe":
+        return IndexSpec(kind=kind)  # raises ValueError for an unknown kind
     params = dict(params or {})
-    if kind == "exact-scan":
-        return IndexSpec(kind="exact-scan")
-    if kind == "cell-probe":
-        n_cells = min(int(params.get("n_cells", 64)), n_entries)
-        n_probe = min(int(params.get("n_probe", 8)), n_cells)
-        train_size = int(params.get("train_size", DEFAULT_TRAIN_SIZE))
-        return IndexSpec(kind="cell-probe", n_cells=n_cells, n_probe=n_probe,
-                         train_size=train_size)
-    raise ValueError(f"unknown index kind: {kind}")
+    n_cells = min(int(params.get("n_cells", 64)), n_entries)
+    n_probe = min(int(params.get("n_probe", 8)), n_cells)
+    train_size = int(params.get("train_size", DEFAULT_TRAIN_SIZE))
+    return IndexSpec(kind="cell-probe", n_cells=n_cells, n_probe=n_probe,
+                     train_size=train_size)
 
 
 def merge_datastores(stores: Sequence[Datastore]) -> Datastore:
     """Concatenate stores into one, keeping entry order and provenance.
 
     Duplicate (vector, token) entries across source languages are kept.
-    The merged index is rebuilt with the first store's configuration.
+    The merged store takes the first store's index spec; its index is built
+    on its first search.
     """
     if not stores:
         raise EmptyInputError("no stores to merge")
@@ -613,7 +625,11 @@ def save_datastore(store: Datastore, path: str | os.PathLike,
 
 
 def load_datastore(path: str | os.PathLike) -> Datastore:
-    """Read a KDS1 file; the search index is rebuilt deterministically.
+    """Read a KDS1 file and build its search index, deterministically, before returning.
+
+    KDS1 does not keep the index, so a cell-probe store runs k-means here;
+    it is done on load, not on the first search, so that the first query
+    after a load costs no more than the next.
 
     The store keeps the file's rows as read; its columns are views of them.
     Sizes, the dimension, the index spec (at most one cell per entry),
@@ -658,4 +674,6 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     else:
         spec = IndexSpec(kind="cell-probe", n_cells=n_cells, n_probe=n_probe,
                          train_size=train_size)
-    return Datastore(rows, vocab_size, tuple(lang_codes), spec)
+    store = Datastore(rows, vocab_size, tuple(lang_codes), spec)
+    store.index  # noqa: B018 - built now; see above
+    return store

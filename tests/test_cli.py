@@ -68,6 +68,7 @@ class TestBuild:
         manifest = json.loads((built_store.parent / "aa.kds.run.json").read_text())
         assert manifest["entry_count"] == expected
         assert manifest["subcommand"] == "build"
+        assert manifest["cpu_seconds"] > 0 and manifest["elapsed_seconds"] > 0
 
     def test_missing_file_exits_2(self, toy_dir, tmp_path, capsys):
         code = run("build", "--train-src", toy_dir / "missing.txt",

@@ -1,12 +1,16 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knnmt import decode
 from knnmt.corpus import BOS_ID, EOS_ID
 from knnmt.decode import (
+    FEATURE_HASH_SEED,
     KnnConfig,
     ToyBaseModel,
     decode_beam,
@@ -22,7 +26,7 @@ from knnmt.errors import (
     EmptyRetrievalError,
     UntrainedModelError,
 )
-from knnmt.vecstore import build_datastore
+from knnmt.vecstore import build_datastore, record_dtype
 
 
 class TestKnnDistribution:
@@ -209,9 +213,7 @@ def reference_greedy(model, source, max_len=64):
 
 
 def store_from_corpus(model, pairs, lang="xx"):
-    records = np.concatenate([trajectory_records(model, src, tgt, sid)
-                              for sid, (src, tgt) in enumerate(pairs)])
-    return build_datastore(records, model.vocab_size, lang)
+    return build_datastore(trajectory_records(model, pairs), model.vocab_size, lang)
 
 
 def sequence_log_score(model, source, tokens, store, cfg):
@@ -420,3 +422,75 @@ class TestToyModelOracle:
     def test_target_outside_vocabulary_rejected(self, pairs, vocab_size):
         with pytest.raises(DimensionMismatchError):
             ToyBaseModel(pairs, vocab_size=vocab_size)
+
+
+def reference_featurize(source, prefix, dim):
+    """The per-prefix featurizer the memo replaced: every feature hashed on every call."""
+    key = FEATURE_HASH_SEED.to_bytes(8, "little")
+    prev1 = prefix[-1] if len(prefix) >= 1 else BOS_ID
+    prev2 = prefix[-2] if len(prefix) >= 2 else BOS_ID
+    vec = np.zeros(dim, dtype=np.float64)
+    for feature in [*(f"s:{tok}" for tok in source),
+                    f"p1:{prev1}", f"p2:{prev2}", f"p12:{prev2},{prev1}"]:
+        digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest()
+        h = int.from_bytes(digest, "little")
+        vec[(h >> 1) % dim] += 1.0 if h & 1 == 0 else -1.0
+    norm = np.linalg.norm(vec)
+    if norm > 0:
+        vec /= norm
+    return vec.astype(np.float32)
+
+
+def reference_trajectory(pairs, dim):
+    """Per-sentence, per-prefix records, concatenated: what trajectory_records must return."""
+    rows = []
+    for sid, (source, target) in enumerate(pairs):
+        trajectory = [*target, EOS_ID]
+        for t, tok in enumerate(trajectory):
+            rows.append((sid, t, tok,
+                         reference_featurize(source, [BOS_ID, *trajectory[:t]], dim)))
+    return np.array(rows, dtype=record_dtype(dim))
+
+
+CANCELLING_PAIR = ([52, 201, 121], [44])  # at d=64 its step-1 key is all-zero
+
+
+class TestTrajectoryOracle:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_keys_match_per_prefix_featurize(self, data):
+        dim = data.draw(st.sampled_from([4, 16, 64]))
+        # a small id range makes repeated source tokens and shared contexts likely
+        tok = st.one_of(st.integers(3, 12), st.integers(0, 299))
+        pairs = data.draw(st.lists(
+            st.tuples(st.lists(st.one_of(tok, st.integers(-3, 400)), max_size=7),
+                      st.lists(tok, max_size=6)),  # empty targets included
+            min_size=1, max_size=8))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), CANCELLING_PAIR)
+        model = ToyBaseModel(pairs, vocab_size=300, dim=dim)
+        expected = reference_trajectory(pairs, dim)
+        with mock.patch.object(decode, "_TRAJECTORY_SLICE", data.draw(st.integers(1, 4))):
+            cold = trajectory_records(model, pairs)
+            warm = trajectory_records(model, pairs)
+        for got in (cold, warm):
+            assert got.dtype == record_dtype(dim)
+            assert got.tobytes() == expected.tobytes()
+        for row in expected:  # featurize reads the same memo
+            source, target = pairs[row["sid"]]
+            prefix = [BOS_ID, *target, EOS_ID][:row["ts"] + 1]
+            assert model.featurize(source, prefix).tobytes() == row["vec"].tobytes()
+        if dim == 64:
+            assert (cold["vec"][np.linalg.norm(expected["vec"], axis=1) == 0] == 0).all()
+            assert (np.linalg.norm(cold["vec"], axis=1) == 0).any()
+
+    def test_memo_warmed_by_featurize(self):
+        model, pairs = toy_setup(seed=3, n=200)
+        for source, target in pairs[::7]:  # a part of the memo filled first
+            model.featurize(source, [BOS_ID, *target])
+        records = trajectory_records(model, pairs)
+        assert records.tobytes() == reference_trajectory(pairs, model.dim).tobytes()
+
+    def test_empty_corpus_gives_no_records(self):
+        model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=16)
+        records = trajectory_records(model, [])
+        assert records.dtype == record_dtype(16) and records.size == 0

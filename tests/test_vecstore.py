@@ -197,6 +197,63 @@ class TestCellProbe:
             [nb.entry_index for nb in query(b, q, 7)]
 
 
+class TestLazyIndex:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count CellProbeIndex constructions; returns the list they append to."""
+        made = []
+
+        class Counted(vecstore.CellProbeIndex):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(vecstore, "CellProbeIndex", Counted)
+        return made
+
+    def cell_probe_store(self, rng, n=400, lang="xx"):
+        return random_store(rng, n, 8, langs=(lang,), index_kind="cell-probe",
+                            index_params={"n_cells": 16, "n_probe": 3})
+
+    def test_build_merge_map_save_make_no_index(self, builds, tmp_path):
+        from knnmt.align import LinearMap, map_datastore
+        rng = np.random.default_rng(11)
+        a = self.cell_probe_store(rng)
+        b = self.cell_probe_store(rng, lang="yy")
+        merged = merge_datastores([a, b])
+        mapped = map_datastore(a, LinearMap(rng.normal(size=(8, 8)), "xx", "yy", 0.0))
+        for store in (a, merged, mapped):
+            save_datastore(store, tmp_path / "s.kds")
+        assert builds == []
+
+    def test_first_query_builds_once_and_matches_an_eager_index(self, builds):
+        rng = np.random.default_rng(12)
+        store = self.cell_probe_store(rng)
+        eager = vecstore.CellProbeIndex(store.keys, 16, 3)
+        builds.clear()
+        for i in range(10):
+            q = rng.normal(size=8)
+            nbrs = query(store, q, 5)
+            assert len(builds) == 1
+            idx, dists = eager.search(q, 5)
+            assert np.array_equal(nbrs.entry_index, idx)
+            assert np.array_equal(nbrs.distance, dists)
+        assert np.array_equal(store.index.centroids, eager.centroids)
+
+    def test_load_builds_exactly_one(self, builds, tmp_path):
+        rng = np.random.default_rng(13)
+        save_datastore(self.cell_probe_store(rng), tmp_path / "s.kds")
+        store = load_datastore(tmp_path / "s.kds")
+        assert len(builds) == 1
+        query(store, rng.normal(size=8), 5)
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("params", [{"n_cells": 0}, {"n_probe": 0}, {"n_cells": -1}])
+    def test_bad_cell_probe_spec_rejected_at_build(self, params):
+        with pytest.raises(ValueError):
+            make_store(np.eye(4), index_kind="cell-probe", index_params=params)
+
+
 class TestMerge:
     def test_additivity(self):
         rng = np.random.default_rng(6)
