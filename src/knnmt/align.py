@@ -21,8 +21,8 @@ from .errors import (
     NonFiniteKeyError,
     SingularSystemError,
 )
-from .vecstore import (Datastore, context_rows, _check_end, _check_finite, _read_dim,
-                       _read_exact, _read_lang)
+from .vecstore import (Datastore, context_rows, _check_end, _check_finite, _lang_bytes,
+                       _read_dim, _read_exact, _read_lang)
 
 KLM_MAGIC = b"KLM1\x00\x00"
 
@@ -169,20 +169,21 @@ def map_datastore(store: Datastore, lin_map: LinearMap) -> Datastore:
         raise DimensionMismatchError(
             f"store dimension {store.dim} does not match map dimension {lin_map.dim}")
     rows = store.rows.copy()
-    rows["vec"] = store.keys.astype(np.float64) @ lin_map.matrix.T  # rounded to f4 on assignment
+    with np.errstate(over="ignore"):  # an overflow to inf is reported by _check_finite
+        rows["vec"] = store.keys.astype(np.float64) @ lin_map.matrix.T  # rounded to f4 here
     _check_finite(rows["vec"], NonFiniteKeyError)
     return Datastore(rows, store.vocab_size, store.lang_codes, store.index_spec)
 
 
 def save_linear_map(lin_map: LinearMap, path: str | os.PathLike) -> None:
-    """Write a KLM1 file: header, lang codes, ridge, row-major f32 matrix."""
+    """Write a KLM1 file: header, lang codes, ridge, row-major f32 matrix.
+
+    An invalid language code raises MalformedDumpError, as
+    ``load_linear_map`` would, before the file is opened.
+    """
+    codes = _lang_bytes(lin_map.source_lang) + _lang_bytes(lin_map.target_lang)
     with open(path, "wb") as f:
-        f.write(KLM_MAGIC)
-        f.write(struct.pack("<I", lin_map.dim))
-        for code in (lin_map.source_lang, lin_map.target_lang):
-            raw = code.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
+        f.write(KLM_MAGIC + struct.pack("<I", lin_map.dim) + codes)
         f.write(struct.pack("<d", lin_map.ridge))
         f.write(lin_map.matrix.astype("<f4").tobytes())
 

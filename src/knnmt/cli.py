@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -96,7 +96,9 @@ def _coerce(raw: str):
 
 
 def load_config_file(path: str) -> dict:
-    """Plain key=value config; '#' starts a comment, flags override these."""
+    """UTF-8 key=value lines ('#' comments) as {dest: ``_coerce``d value}, defaults for
+    ``build_parser``. A line without '=' or a file that is not UTF-8 raises ValueError.
+    """
     values = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -182,8 +184,7 @@ def cmd_build(args) -> tuple[str | None, dict]:
     store = vecstore.build_datastore(
         records, vocab_size, lang, index_kind=args.index,
         index_params={"n_cells": args.cells, "n_probe": args.probe})
-    vecstore.save_datastore(store, args.out,
-                            manifest={"tokenizer": "whitespace", "corpus": source_desc})
+    vecstore.save_datastore(store, args.out, manifest={"corpus": source_desc})
     print(f"built datastore {args.out}: {len(store)} entries, d={store.dim}")
     return args.out + ".run.json", {"entry_count": len(store), "dim": store.dim,
                                     "languages": store.languages}
@@ -193,8 +194,7 @@ def cmd_merge(args) -> tuple[str | None, dict]:
     stores = [vecstore.load_datastore(p) for p in args.stores]
     merged = vecstore.merge_datastores(stores)
     vecstore.save_datastore(merged, args.out,
-                            manifest={"tokenizer": "whitespace",
-                                      "corpus": f"merge of {len(stores)} stores"})
+                            manifest={"corpus": f"merge of {len(stores)} stores"})
     print(f"merged {len(stores)} stores into {args.out}: {len(merged)} entries")
     return args.out + ".run.json", {"entry_count": len(merged),
                                     "languages": merged.languages}
@@ -232,8 +232,7 @@ def cmd_map_apply(args) -> tuple[str | None, dict]:
     lin_map = align.load_linear_map(args.map)
     mapped = align.map_datastore(store, lin_map)
     vecstore.save_datastore(mapped, args.out,
-                            manifest={"tokenizer": "whitespace",
-                                      "corpus": f"{args.store} via {args.map}"})
+                            manifest={"corpus": f"{args.store} via {args.map}"})
     print(f"mapped {len(mapped)} keys into {args.out}")
     return args.out + ".run.json", {"entry_count": len(mapped)}
 
@@ -357,21 +356,17 @@ def cmd_bench(args) -> tuple[str | None, dict]:
 
 def cmd_analyze(args) -> tuple[str | None, dict]:
     os.makedirs(args.out, exist_ok=True)
-    dumps: dict[str, np.ndarray] = {}
-    dim = None
+    dumpset = None
     for path in args.dump:
         header, records = vecstore.read_dump(path)
-        if dim is None:
-            dim = header.dim
-        if header.lang in dumps:
+        if dumpset is None:
+            dumpset = transfer.ContextDumpSet(header.dim, target_lang=args.pivot)
+        if header.lang in dumpset.languages:
             raise ValueError(f"duplicate dump for language {header.lang!r}")
-        dumps[header.lang] = records
-    if len(dumps) < 2:
+        dumpset.add_records(header.lang, records)
+    langs = sorted(dumpset.languages)
+    if len(langs) < 2:
         raise EmptyInputError("analyze needs dumps for at least two languages")
-    dumpset = transfer.ContextDumpSet(dim, target_lang=args.pivot)
-    for lang, records in dumps.items():
-        dumpset.add_records(lang, records)
-    langs = sorted(dumps)
     sims = transfer.similarity_matrix(dumpset, langs)
     bleu_table = transfer.BleuTable.from_file(args.bleu_table)
 
@@ -402,35 +397,21 @@ def cmd_analyze(args) -> tuple[str | None, dict]:
                  if args.distances else None)
     table = features.pair_features_table(corpora, len(vocab), distances)
 
-    feature_names = None
-    regression_pairs = []
+    regression_pairs = [(pf, sims.value(l1, l2)) for (l1, l2), pf in sorted(table.items())]
+    x, y, names = features.design_matrix(regression_pairs)
     with open(os.path.join(args.out, "features.tsv"), "w", encoding="utf-8") as f:
-        for (l1, l2), pf in sorted(table.items()):
-            target = sims.value(l1, l2)
-            regression_pairs.append((pf, target))
-            if feature_names is None:
-                feature_names = list(features.DATASET_FEATURES) + [
-                    name for name in features.LINGUISTIC_FEATURES
-                    if name in pf.linguistic]
-                f.write("lang1\tlang2\t" + "\t".join(feature_names) + "\txsim\n")
-            row = "\t".join(f"{v:.6f}" for v in pf.feature_vector(feature_names))
-            f.write(f"{l1}\t{l2}\t{row}\t{target:.6f}\n")
+        f.write("lang1\tlang2\t" + "\t".join(names) + "\txsim\n")
+        for (pf, _), row, target in zip(regression_pairs, x, y):
+            values = "\t".join(f"{v:.6f}" for v in row)
+            f.write(f"{pf.lang1}\t{pf.lang2}\t{values}\t{target:.6f}\n")
 
     report = features.predict_xsim_loo(regression_pairs,
                                        n_shuffles=args.shuffles, seed=args.seed)
     summary = {
         "languages": langs,
         "pivot": args.pivot,
-        "rtp": {lang: rtp_values[lang] for lang in langs},
-        "regression": {
-            "mean_mae": report.mean_mae,
-            "fold_mae": list(report.fold_mae),
-            "fold_langs": list(report.fold_langs),
-            "feature_names": list(report.feature_names),
-            "coefficients": report.coefficients,
-            "intercept": report.intercept,
-            "importances": {k: list(v) for k, v in report.importances.items()},
-        },
+        "rtp": rtp_values,
+        "regression": asdict(report),  # its tuples are JSON arrays
         "spearman_rtp_vs_delta": {"rho": rho, "n": n},
     }
     with open(os.path.join(args.out, "analysis.json"), "w", encoding="utf-8") as f:
@@ -445,7 +426,10 @@ def cmd_analyze(args) -> tuple[str | None, dict]:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The ``knnmt`` parser. ``config`` becomes every subcommand's defaults, so a typed
+    flag beats it, it beats a built-in default, and argparse converts its strings.
+    """
     parser = argparse.ArgumentParser(
         prog="knnmt",
         description="retrieval-augmented translation datastores and transfer analysis")
@@ -554,47 +538,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
+    for p in sub.choices.values():  # after add_argument: its default= would win otherwise
+        p.set_defaults(**(config or {}))
     return parser
 
 
-def _explicit_dests(argv: list[str] | None) -> set[str]:
-    """Dests that were explicitly present on the command line.
-
-    A throwaway parser with every default suppressed yields only the
-    attributes the user actually typed (subparsers re-parse into a fresh
-    namespace, so seeding a namespace cannot distinguish flag from default).
-    """
-    sentinel = build_parser()
-    stack = [sentinel]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            action.default = argparse.SUPPRESS
-        p._defaults.clear()
-    return set(vars(sentinel.parse_args(argv)))
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            overrides = load_config_file(args.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        unknown = sorted(set(overrides) - set(vars(args)))
-        if unknown:
-            print(f"error: unknown config keys: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        explicit = _explicit_dests(argv)
-        for key, value in overrides.items():
-            if key not in explicit:  # explicit flags beat file values
-                setattr(args, key, value)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            config = load_config_file(args.config)
+            # unknown (no attribute) or list-valued: a typed list flag would append to the file's
+            unknown = [k for k in config if k in ("func", "subcommand")
+                       or isinstance(getattr(args, k, []), list)]
+            if unknown:
+                raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            args = build_parser(config).parse_args(argv)
         started, cpu_started = time.perf_counter(), time.process_time()
         default_manifest, fields = args.func(args)
         _write_manifest(args, default_manifest,

@@ -19,6 +19,7 @@ from .corpus import BOS_ID, EOS_ID
 from .errors import (
     DimensionMismatchError,
     EmptyRetrievalError,
+    MalformedDumpError,
     UntrainedModelError,
 )
 from .align import apply_map
@@ -381,10 +382,18 @@ def trajectory_records(model: ToyBaseModel,
     order, so each sentence's source part is summed once and each step adds
     its three prefix features to it. Keys are made a slice of sentences at a
     time, straight into the returned rows.
+
+    Raises MalformedDumpError for more than 2^32 sentences or a target of
+    more than 65,535 tokens, which a record's u32 ``sid`` or u16 ``ts``
+    cannot number.
     """
     dim = model.dim
     src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
     steps = np.array([len(t) + 1 for _, t in pairs], dtype=np.int64)
+    longest = int(steps.max(initial=1)) - 1
+    if len(pairs) > 2**32 or longest > 65535:
+        raise MalformedDumpError(f"{len(pairs)} sentences, the longest target {longest} tokens; "
+                                 "records number at most 2^32 and 65,535 of them")
     sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,
                           int(src_lens.sum()))
     # pair i's path <bos> <bos> t_1 .. t_n <eos>: step j reads prev2, prev1

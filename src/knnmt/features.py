@@ -10,7 +10,6 @@ similarity, plus permutation importance over the fitted model.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
@@ -22,6 +21,7 @@ from .errors import (
     InsufficientDataError,
     SingularSystemError,
 )
+from .mteval import ngram_counts
 
 DATASET_FEATURES = (
     "size_ratio",
@@ -129,10 +129,6 @@ def multi_parallel_overlap(c1: Corpus, c2: Corpus) -> float:
     return len(k1 & k2) / len(k1 | k2)
 
 
-def _ngram_counts(tokens: Sequence[int], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
 def tgt_ngram_overlap(c1: Corpus, c2: Corpus, n_max: int = 1) -> float:
     """Raw co-occurrence weight of target n-grams over shared sentences.
 
@@ -149,8 +145,8 @@ def tgt_ngram_overlap(c1: Corpus, c2: Corpus, n_max: int = 1) -> float:
     total = 0.0
     for key in targets1.keys() & targets2.keys():
         for n in range(1, n_max + 1):
-            counts1 = _ngram_counts(targets1[key], n)
-            counts2 = _ngram_counts(targets2[key], n)
+            counts1 = ngram_counts(targets1[key], n)
+            counts2 = ngram_counts(targets2[key], n)
             total += n * sum(counts1[g] * counts2[g] for g in counts1.keys() & counts2.keys())
     return total
 
@@ -182,7 +178,10 @@ class PairFeatures:
 
 
 def load_distance_table(path: str | os.PathLike) -> dict[tuple[str, str], dict[str, float]]:
-    """Linguistic distances per pair, TSV columns per LINGUISTIC_FEATURES."""
+    """Linguistic distances per unordered pair, TSV columns per LINGUISTIC_FEATURES.
+
+    A pair listed twice, in either order, raises ValueError.
+    """
     table: dict[tuple[str, str], dict[str, float]] = {}
     with open(path, encoding="utf-8") as f:
         for line in f:
@@ -196,6 +195,8 @@ def load_distance_table(path: str | os.PathLike) -> dict[tuple[str, str], dict[s
             if any(not 0.0 <= v <= 1.0 for v in values):
                 raise ValueError(f"distances must lie in [0, 1]: {line!r}")
             key = tuple(sorted((parts[0], parts[1])))
+            if key in table:
+                raise ValueError(f"{path}: second row for the pair {key}: {line!r}")
             table[key] = dict(zip(LINGUISTIC_FEATURES, values))
     return table
 
@@ -282,18 +283,14 @@ def _fit_with_fallback(x: np.ndarray, y: np.ndarray,
         return fit_linear(x, y, feature_names, ridge=ridge)
 
 
-def design_matrix(pairs: Sequence[tuple[PairFeatures, float]],
-                  feature_names: Sequence[str] | None = None
+def design_matrix(pairs: Sequence[tuple[PairFeatures, float]]
                   ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Stack pair features into (X, y); linguistic columns included when present."""
+    """Stack pair features into (X, y) and name the columns: the dataset features, then
+    each linguistic distance that every pair has. ``analyze`` writes them to features.tsv."""
     if not pairs:
         raise EmptyInputError("no feature pairs given")
-    if feature_names is None:
-        names = list(DATASET_FEATURES)
-        names += [f for f in LINGUISTIC_FEATURES
-                  if all(f in pf.linguistic for pf, _ in pairs)]
-    else:
-        names = list(feature_names)
+    names = list(DATASET_FEATURES)
+    names += [f for f in LINGUISTIC_FEATURES if all(f in pf.linguistic for pf, _ in pairs)]
     x = np.vstack([pf.feature_vector(names) for pf, _ in pairs])
     y = np.asarray([target for _, target in pairs], dtype=np.float64)
     return x, y, tuple(names)

@@ -37,7 +37,8 @@ class BleuScore:
     scale: str = "unit"
 
 
-def _ngrams(tokens: Sentence, n: int) -> Counter:
+def ngram_counts(tokens: Sentence, n: int) -> Counter:
+    """How often each n-gram (a tuple of n tokens) occurs in ``tokens``."""
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
@@ -69,10 +70,10 @@ def bleu(hypotheses: Sequence[Sentence], references: Sequence[Sentence],
         hyp_len += len(hyp)
         ref_len += len(ref)
         for n in range(1, NGRAM_ORDER + 1):
-            hyp_counts = _ngrams(hyp, n)
+            hyp_counts = ngram_counts(hyp, n)
             if not hyp_counts:
                 continue
-            ref_counts = _ngrams(ref, n)
+            ref_counts = ngram_counts(ref, n)
             for gram, count in hyp_counts.items():
                 numerators[n - 1] += min(count, ref_counts.get(gram, 0))
                 denominators[n - 1] += count

@@ -172,7 +172,7 @@ class BleuTable:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "BleuTable":
-        """TSV `lang<TAB>bilingual<TAB>multilingual` with a #scale= header."""
+        """TSV `lang<TAB>bilingual<TAB>multilingual` with one #scale= header; no lang twice."""
         scale = None
         scores: dict[str, tuple[float, float]] = {}
         with open(path, encoding="utf-8") as f:
@@ -182,11 +182,15 @@ class BleuTable:
                     continue
                 if line.startswith("#"):
                     if line.startswith("#scale="):
+                        if scale is not None:
+                            raise ValueError(f"{path}: second #scale= header: {line!r}")
                         scale = line.split("=", 1)[1].strip()
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise ValueError(f"bad score row: {line!r}")
+                if parts[0] in scores:
+                    raise ValueError(f"{path}: second row for {parts[0]!r}: {line!r}")
                 scores[parts[0]] = (float(parts[1]), float(parts[2]))
         if scale is None:
             raise ValueError(f"{path}: missing #scale=percent|unit header")

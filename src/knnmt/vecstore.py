@@ -510,22 +510,18 @@ def write_dump(path: str | os.PathLike, header: DumpHeader, records: np.ndarray)
     """Write ``record_dtype`` rows to an RDMP1 file; returns the record count.
 
     A dump holds at least one record: ``read_dump`` bounds the header's
-    dimension by the bytes that follow it.
+    dimension by the bytes that follow it. An invalid language code raises
+    MalformedDumpError, as ``read_dump`` would, before the file is opened.
     """
-    check_lang_code(header.lang)
+    lang = _lang_bytes(header.lang)
     if records.size == 0:
         raise EmptyDatastoreError("dump contains no records")
     if records.dtype != record_dtype(header.dim):
         raise MalformedDumpError(
             f"records have dtype {records.dtype}, dump declares d={header.dim}")
-    lang_bytes = header.lang.encode("utf-8")
     with open(path, "wb") as f:
-        f.write(RDMP_MAGIC)
-        f.write(struct.pack("<II", header.dim, header.vocab_size))
-        f.write(struct.pack("<I", len(lang_bytes)))
-        f.write(lang_bytes)
-        f.write(struct.pack("<Q", records.size))
-        f.write(records.tobytes())
+        f.write(RDMP_MAGIC + struct.pack("<II", header.dim, header.vocab_size) + lang)
+        _write_rows(f, records)
     return records.size
 
 
@@ -560,6 +556,12 @@ def _read_lang(f) -> str:
         raise CorruptFileError(f"lang code {raw!r} is not UTF-8") from None
 
 
+def _lang_bytes(code: str) -> bytes:
+    """A checked language code as ``_read_lang`` reads it: a u32 length, then UTF-8."""
+    raw = check_lang_code(code).encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
 def _check_end(f) -> None:
     left = _bytes_left(f)
     if left:
@@ -572,6 +574,12 @@ def _read_rows(f, dtype: np.dtype) -> np.ndarray:
     rows = np.frombuffer(_read_exact(f, count * dtype.itemsize, "records"), dtype=dtype)
     _check_end(f)
     return rows
+
+
+def _write_rows(f, rows: np.ndarray) -> None:
+    """Write a u64 row count, then the rows, as ``_read_rows`` reads them."""
+    f.write(struct.pack("<Q", rows.size))
+    rows.tofile(f)
 
 
 def read_dump(path: str | os.PathLike) -> tuple[DumpHeader, np.ndarray]:
@@ -598,27 +606,23 @@ def save_datastore(store: Datastore, path: str | os.PathLike,
     """Write a KDS1 file plus its informational JSON sidecar manifest.
 
     Raises InsufficientEntriesError for a cell-probe spec with more cells
-    than the store has entries, which ``load_datastore`` would reject.
+    than the store has entries, and MalformedDumpError for an invalid
+    language code, both of which ``load_datastore`` would reject; either
+    way, nothing is written.
     """
     spec = store.index_spec
     if spec.n_cells > len(store):
         raise InsufficientEntriesError(
             f"index spec asks for {spec.n_cells} cells, the store holds {len(store)} entries")
     kind_code = 0 if spec.kind == "exact-scan" else 1
+    table = b"".join(_lang_bytes(code) + struct.pack("<Q", store.languages[code])
+                     for code in store.lang_codes)
     with open(path, "wb") as f:
-        f.write(KDS_MAGIC)
-        f.write(struct.pack("<II", store.dim, store.vocab_size))
+        f.write(KDS_MAGIC + struct.pack("<II", store.dim, store.vocab_size))
         f.write(struct.pack("<BIII", kind_code, spec.n_cells, spec.n_probe, spec.train_size))
-        f.write(struct.pack("<I", len(store.lang_codes)))
-        for code in store.lang_codes:
-            raw = code.encode("utf-8")
-            f.write(struct.pack("<I", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<Q", store.languages[code]))
-        f.write(struct.pack("<Q", len(store)))
-        store.rows.tofile(f)
-    sidecar = {"tokenizer": "whitespace", "corpus": "unspecified"}
-    sidecar.update(manifest or {})
+        f.write(struct.pack("<I", len(store.lang_codes)) + table)
+        _write_rows(f, store.rows)
+    sidecar = {"tokenizer": "whitespace", "corpus": "unspecified", **(manifest or {})}
     with open(_manifest_path(path), "w", encoding="utf-8") as f:
         json.dump(sidecar, f, indent=2, sort_keys=True)
         f.write("\n")

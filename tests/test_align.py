@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from knnmt.errors import (
     CorruptFileError,
     DimensionMismatchError,
     EmptyPairsError,
+    MalformedDumpError,
     NonFiniteKeyError,
     SingularSystemError,
 )
@@ -284,6 +287,14 @@ class TestMapDatastore:
         with pytest.raises(NonFiniteKeyError):
             map_datastore(store, LinearMap(np.eye(4) * 1e39, "aa", "aa", 0.0))
 
+    def test_overflow_reported_once(self):
+        # the error reports the overflow; numpy's cast warning would repeat it
+        store = self.make_store(None, np.ones((4, 4)), np.arange(3, 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteKeyError):
+                map_datastore(store, LinearMap(np.eye(4) * 1e39, "aa", "aa", 0.0))
+
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
@@ -300,6 +311,13 @@ class TestPersistence:
         assert loaded.ridge == fitted.ridge
         assert loaded.residual is None
         assert np.allclose(loaded.matrix, fitted.matrix, atol=1e-6)
+
+    @pytest.mark.parametrize("codes", [("EN", "aa"), ("aa", "")])
+    def test_invalid_code_writes_nothing(self, tmp_path, codes):
+        path = tmp_path / "map.klm"
+        with pytest.raises(MalformedDumpError):
+            save_linear_map(LinearMap(np.eye(4), *codes, 0.0), path)
+        assert not path.exists()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.klm"

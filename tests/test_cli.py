@@ -14,6 +14,14 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def exit_status(*argv):
+    """``main``'s return value, or the status of the SystemExit argparse raises."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture(scope="module")
 def toy_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy")
@@ -77,6 +85,17 @@ class TestBuild:
                    "--out", tmp_path / "x.kds")
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_target_beyond_the_u16_timestep_exits_2(self, tmp_path, capsys):
+        (tmp_path / "vocab.txt").write_text("<pad>\n<s>\n</s>\nx\ny\n")
+        (tmp_path / "train.src").write_text("x\n")
+        (tmp_path / "train.tgt").write_text(" ".join(["y"] * 65536) + "\n")
+        out = tmp_path / "s.kds"
+        assert run("build", "--train-src", tmp_path / "train.src",
+                   "--train-tgt", tmp_path / "train.tgt", "--vocab", tmp_path / "vocab.txt",
+                   "--src-lang", "xx", "--dim", "8", "--out", out) == 2
+        assert "65536 tokens" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_build_from_dump(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -313,6 +332,24 @@ class TestAnalyze:
         second = json.loads((out / "analysis.json").read_text())
         assert first["rtp"] == second["rtp"]
 
+    def test_features_tsv_columns_are_the_regression_columns(self, analyze_out):
+        header = (analyze_out / "features.tsv").read_text().splitlines()[0].split("\t")
+        summary = json.loads((analyze_out / "analysis.json").read_text())
+        assert header[:2] == ["lang1", "lang2"] and header[-1] == "xsim"
+        assert header[2:-1] == summary["regression"]["feature_names"]
+
+    def test_two_dumps_of_one_language_exit_2(self, toy_dir, analyze_out, tmp_path, capsys):
+        dump = analyze_out.parent / "aa.rdmp"
+        argv = ["analyze", "--bleu-table", toy_dir / "bleu-table.tsv",
+                "--vocab", toy_dir / "vocab.txt", "--out", tmp_path / "reports",
+                "--dump", dump, "--dump", analyze_out.parent / "bb.rdmp", "--dump", dump]
+        for lang in ("aa", "bb"):
+            argv += ["--corpus", lang, toy_dir / f"{lang}-en.train.{lang}",
+                     toy_dir / f"{lang}-en.train.en"]
+        assert run(*argv) == 2
+        assert "duplicate dump for language 'aa'" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "analysis.json").exists()
+
 
 class TestExitCodes:
     def test_unexpected_exception_exits_4(self, monkeypatch, tmp_path, capsys):
@@ -386,3 +423,21 @@ class TestConfigFile:
         code = run("bleu", "--config", config, "--hyp", "x", "--ref", "y")
         assert code == 2
         assert "unknown config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"k 2\n",                 # no '='
+        b"k=2\nlam=\xff\xfe\n",    # not UTF-8
+        b"func=1\n",
+        b"subcommand=x\n",
+        b"dim=abc\n",             # argparse cannot convert it
+        b"store=a.kds\n",         # a repeatable flag: the typed --store would append to it
+    ], ids=["no-equals", "non-utf8", "func", "subcommand", "bad-int", "repeatable"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, content):
+        config = tmp_path / "bad.conf"
+        config.write_bytes(content)
+        out = tmp_path / "out.txt"
+        assert exit_status("translate", "--config", config, "--train-src", "x",
+                           "--train-tgt", "y", "--vocab", "v", "--input", "i",
+                           "--store", "b.kds", "--output", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

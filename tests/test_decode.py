@@ -24,6 +24,7 @@ from knnmt.decode import (
 from knnmt.errors import (
     DimensionMismatchError,
     EmptyRetrievalError,
+    MalformedDumpError,
     UntrainedModelError,
 )
 from knnmt.vecstore import build_datastore, record_dtype
@@ -489,6 +490,23 @@ class TestTrajectoryOracle:
             model.featurize(source, [BOS_ID, *target])
         records = trajectory_records(model, pairs)
         assert records.tobytes() == reference_trajectory(pairs, model.dim).tobytes()
+
+    def test_target_beyond_the_u16_timestep_rejected(self):
+        # 65,536 tokens plus end-of-sequence would need timestep 65,536
+        model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=16)
+        with pytest.raises(MalformedDumpError, match="65536 tokens"):
+            trajectory_records(model, [([3], [5]), ([4], [6] * 65536)])
+        longest = trajectory_records(model, [([4], [6] * 65535)])
+        assert longest["ts"][-1] == 65535 and longest.size == 65536
+
+    def test_corpus_beyond_the_u32_sentence_id_rejected(self):
+        class Huge(list):  # only its length is read before the check
+            def __len__(self):
+                return 2**32 + 1
+
+        model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=16)
+        with pytest.raises(MalformedDumpError, match="sentences"):
+            trajectory_records(model, Huge())
 
     def test_empty_corpus_gives_no_records(self):
         model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=16)

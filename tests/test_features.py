@@ -346,6 +346,14 @@ class TestDistanceTable:
         with pytest.raises(ValueError):
             load_distance_table(path)
 
+    def test_pair_in_both_orders_rejected(self, tmp_path):
+        path = tmp_path / "dist.tsv"
+        path.write_text("aa\tbb\t0.1\t0.2\t0.3\t0.4\t0.5\n"
+                        "bb\taa\t0.5\t0.4\t0.3\t0.2\t0.1\n")
+        with pytest.raises(ValueError) as exc:
+            load_distance_table(path)
+        assert repr("bb\taa\t0.5\t0.4\t0.3\t0.2\t0.1") in str(exc.value)  # names the row
+
 
 class TestDesignMatrix:
     def test_linguistic_columns_only_when_complete(self):

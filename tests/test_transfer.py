@@ -235,6 +235,19 @@ class TestBleuTable:
         with pytest.raises(ValueError):
             BleuTable({"aa": (1.5, 0.3)}, scale="unit")
 
+    def test_second_row_for_a_language_rejected(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("#scale=unit\naa\t0.2\t0.3\nbb\t0.1\t0.1\naa\t0.4\t0.3\n")
+        with pytest.raises(ValueError) as exc:
+            BleuTable.from_file(path)
+        assert repr("aa\t0.4\t0.3") in str(exc.value)  # names the row
+
+    def test_second_scale_header_rejected(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("#scale=unit\naa\t0.2\t0.3\n#scale=percent\n")
+        with pytest.raises(ValueError, match="#scale=percent"):
+            BleuTable.from_file(path)
+
 
 class TestXsimLoss:
     def test_identical_batches_sum_to_row_count(self):

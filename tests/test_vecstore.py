@@ -429,6 +429,17 @@ class TestPersistence:
             save_datastore(oversized, path)
         assert not path.exists()
 
+    def test_invalid_lang_code_not_saved(self, tmp_path):
+        # build_datastore checks its code; a store made directly may hold any
+        store = random_store(np.random.default_rng(27), 10, 8)
+        bad = vecstore.Datastore(store.rows.copy(), store.vocab_size, ("Bad",),
+                                 store.index_spec)
+        path = tmp_path / "store.kds"
+        with pytest.raises(MalformedDumpError):
+            save_datastore(bad, path)
+        assert not path.exists()
+        assert not (tmp_path / "store.manifest.json").exists()
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.kds"
         path.write_bytes(b"NOTKDS" + b"\x00" * 50)
@@ -499,6 +510,19 @@ class TestPersistence:
         for a, b in zip(records, loaded):
             assert np.array_equal(a["vec"], b["vec"])
             assert (a["tok"], a["sid"], a["ts"]) == (b["tok"], b["sid"], b["ts"])
+
+    def test_dump_of_a_strided_view_holds_its_rows(self, tmp_path):
+        records = make_records(np.arange(24).reshape(6, 4), np.arange(6), np.arange(6), 1)
+        path = tmp_path / "dump.rdmp"
+        write_dump(path, DumpHeader(4, 10, "aa"), records[::2])
+        assert read_dump(path)[1].tobytes() == records[::2].tobytes()
+
+    @pytest.mark.parametrize("lang", ["Bad", "", "e n"])
+    def test_dump_with_invalid_lang_code_not_written(self, tmp_path, lang):
+        path = tmp_path / "dump.rdmp"
+        with pytest.raises(MalformedDumpError):
+            write_dump(path, DumpHeader(4, 10, lang), make_records(np.zeros((1, 4)), 0, 0, 0))
+        assert not path.exists()
 
     def test_dump_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.rdmp"
