@@ -80,24 +80,10 @@ ANALYSIS_SCHEMA = {
 }
 
 
-def _coerce(raw: str):
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw
-
-
 def load_config_file(path: str) -> dict:
-    """UTF-8 key=value lines ('#' comments) as {dest: ``_coerce``d value}, defaults for
-    ``build_parser``. A line without '=' or a file that is not UTF-8 raises ValueError.
+    """UTF-8 key=value lines ('#' comments) as {dest: text}, defaults for ``build_parser``,
+    whose flags convert the text with their own types. Surrounding quotes are dropped.
+    A line without '=' or a file that is not UTF-8 raises ValueError.
     """
     values = {}
     with open(path, encoding="utf-8") as f:
@@ -107,8 +93,11 @@ def load_config_file(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line (expected key=value): {line!r}")
-            key, _, raw = line.partition("=")
-            values[key.strip().replace("-", "_")] = _coerce(raw)
+            key, _, text = line.partition("=")
+            text = text.strip()
+            if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
+                text = text[1:-1]
+            values[key.strip().replace("-", "_")] = text
     return values
 
 
@@ -178,12 +167,13 @@ def cmd_build(args) -> tuple[str | None, dict]:
         records = decode.trajectory_records(model, pairs)
         vocab_size, lang = len(vocab), args.src_lang
         source_desc = f"{args.train_src} -> {args.train_tgt}"
-        if args.emit_dump:
-            vecstore.write_dump(args.emit_dump,
-                                vecstore.DumpHeader(args.dim, vocab_size, lang), records)
+    # built before the dump is written: it checks the records and the index spec
     store = vecstore.build_datastore(
         records, vocab_size, lang, index_kind=args.index,
         index_params={"n_cells": args.cells, "n_probe": args.probe})
+    if args.emit_dump and not args.dump:
+        vecstore.write_dump(args.emit_dump,
+                            vecstore.DumpHeader(args.dim, vocab_size, lang), records)
     vecstore.save_datastore(store, args.out, manifest={"corpus": source_desc})
     print(f"built datastore {args.out}: {len(store)} entries, d={store.dim}")
     return args.out + ".run.json", {"entry_count": len(store), "dim": store.dim,
@@ -312,10 +302,12 @@ def benchmark_stores(stores: list[vecstore.Datastore],
 
     Throughput is decoded tokens (queries) per wall-clock second over the
     full retrieval + softmax + interpolation loop; the first ``warmup``
-    queries are excluded from timing.
+    queries are excluded from timing. A negative ``warmup`` raises ValueError.
     """
     if len(stores) < 2:
         raise EmptyInputError("benchmark needs at least two store sizes")
+    if warmup < 0:
+        raise ValueError(f"warm-up runs must not be negative, got {warmup}")
     if len(queries) <= warmup:
         raise EmptyInputError("benchmark needs more queries than warm-up runs")
     rows = []
@@ -355,7 +347,7 @@ def cmd_bench(args) -> tuple[str | None, dict]:
 
 
 def cmd_analyze(args) -> tuple[str | None, dict]:
-    os.makedirs(args.out, exist_ok=True)
+    # every report is computed before --out is created, so an input error writes nothing
     dumpset = None
     for path in args.dump:
         header, records = vecstore.read_dump(path)
@@ -369,21 +361,9 @@ def cmd_analyze(args) -> tuple[str | None, dict]:
         raise EmptyInputError("analyze needs dumps for at least two languages")
     sims = transfer.similarity_matrix(dumpset, langs)
     bleu_table = transfer.BleuTable.from_file(args.bleu_table)
-
-    xsim_path = os.path.join(args.out, "xsim.tsv")
-    with open(xsim_path, "w", encoding="utf-8") as f:
-        f.write("lang\t" + "\t".join(langs) + "\n")
-        for i, lang in enumerate(langs):
-            row = "\t".join(f"{sims.values[i, j]:.6f}" for j in range(len(langs)))
-            f.write(f"{lang}\t{row}\n")
-
     rtp_values = {lang: transfer.rtp(lang, sims, bleu_table, langs, args.pivot)
                   for lang in langs}
     deltas = {lang: bleu_table.multilingual_gain(lang) for lang in langs}
-    with open(os.path.join(args.out, "rtp.tsv"), "w", encoding="utf-8") as f:
-        f.write("lang\trtp\tdelta_bleu\n")
-        for lang in langs:
-            f.write(f"{lang}\t{rtp_values[lang]:.6f}\t{deltas[lang]:.6f}\n")
     rho, n = transfer.spearman([rtp_values[l] for l in langs],
                                [deltas[l] for l in langs])
 
@@ -396,15 +376,8 @@ def cmd_analyze(args) -> tuple[str | None, dict]:
     distances = (features.load_distance_table(args.distances)
                  if args.distances else None)
     table = features.pair_features_table(corpora, len(vocab), distances)
-
     regression_pairs = [(pf, sims.value(l1, l2)) for (l1, l2), pf in sorted(table.items())]
     x, y, names = features.design_matrix(regression_pairs)
-    with open(os.path.join(args.out, "features.tsv"), "w", encoding="utf-8") as f:
-        f.write("lang1\tlang2\t" + "\t".join(names) + "\txsim\n")
-        for (pf, _), row, target in zip(regression_pairs, x, y):
-            values = "\t".join(f"{v:.6f}" for v in row)
-            f.write(f"{pf.lang1}\t{pf.lang2}\t{values}\t{target:.6f}\n")
-
     report = features.predict_xsim_loo(regression_pairs,
                                        n_shuffles=args.shuffles, seed=args.seed)
     summary = {
@@ -414,6 +387,22 @@ def cmd_analyze(args) -> tuple[str | None, dict]:
         "regression": asdict(report),  # its tuples are JSON arrays
         "spearman_rtp_vs_delta": {"rho": rho, "n": n},
     }
+
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "xsim.tsv"), "w", encoding="utf-8") as f:
+        f.write("lang\t" + "\t".join(langs) + "\n")
+        for i, lang in enumerate(langs):
+            row = "\t".join(f"{sims.values[i, j]:.6f}" for j in range(len(langs)))
+            f.write(f"{lang}\t{row}\n")
+    with open(os.path.join(args.out, "rtp.tsv"), "w", encoding="utf-8") as f:
+        f.write("lang\trtp\tdelta_bleu\n")
+        for lang in langs:
+            f.write(f"{lang}\t{rtp_values[lang]:.6f}\t{deltas[lang]:.6f}\n")
+    with open(os.path.join(args.out, "features.tsv"), "w", encoding="utf-8") as f:
+        f.write("lang1\tlang2\t" + "\t".join(names) + "\txsim\n")
+        for (pf, _), row, target in zip(regression_pairs, x, y):
+            values = "\t".join(f"{v:.6f}" for v in row)
+            f.write(f"{pf.lang1}\t{pf.lang2}\t{values}\t{target:.6f}\n")
     with open(os.path.join(args.out, "analysis.json"), "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -553,7 +542,15 @@ def main(argv: list[str] | None = None) -> int:
                        or isinstance(getattr(args, k, []), list)]
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            for key, text in config.items():
+                if isinstance(getattr(args, key), bool):  # a switch has no type to convert
+                    if text.lower() not in ("true", "false"):
+                        raise ValueError(f"config key {key!r} is a switch: "
+                                         f"expected true or false, got {text!r}")
+                    config[key] = text.lower() == "true"
             args = build_parser(config).parse_args(argv)
+        if args.manifest and os.path.isdir(args.manifest):  # before any output is written
+            raise IsADirectoryError(f"--manifest names a directory: {args.manifest}")
         started, cpu_started = time.perf_counter(), time.process_time()
         default_manifest, fields = args.func(args)
         _write_manifest(args, default_manifest,

@@ -240,7 +240,7 @@ class ToyBaseModel:
     source token s. A source or previous token never seen in training has
     no row and adds nothing. Training raises DimensionMismatchError for a
     target token outside ``[0, vocab_size)`` or a vocabulary too small to
-    hold the begin and end tokens.
+    hold the begin and end tokens, and ValueError for ``dim < 1``.
     featurize hashes the source tokens plus the last two prefix tokens into a
     fixed-dimension vector, L2-normalized unless the signed hashes cancel
     exactly, in which case it is all-zero. Each feature string is hashed
@@ -255,6 +255,8 @@ class ToyBaseModel:
                  hash_seed: int = FEATURE_HASH_SEED):
         if not pairs:
             raise UntrainedModelError("toy model needs a non-empty corpus")
+        if dim < 1:
+            raise ValueError(f"feature dimension must be positive, got {dim}")
         self.vocab_size = vocab_size
         self.dim = dim
         self._features = _FeatureHashes(hash_seed.to_bytes(8, "little"), dim)

@@ -66,10 +66,18 @@ def store_dtype(dim: int) -> np.dtype:
 
 
 def make_records(vectors, token_ids, sentence_ids, timesteps) -> np.ndarray:
-    """Record rows from columns; a scalar column is broadcast to every row."""
+    """Record rows from columns; a scalar column is broadcast to every row.
+
+    Raises MalformedDumpError for a sentence id outside [0, 2^32) or a
+    timestep outside [0, 2^16), the ranges of their u4 and u2 fields.
+    """
     vectors = np.asarray(vectors, dtype=np.float32)
     if vectors.ndim != 2:
         raise MalformedDumpError(f"record vectors must form a matrix, got {vectors.shape}")
+    for name, column, bits in (("sentence ids", sentence_ids, 32), ("timesteps", timesteps, 16)):
+        column = np.asarray(column)
+        if column.size and not 0 <= column.min() <= column.max() < 2**bits:
+            raise MalformedDumpError(f"record {name} must lie in [0, 2^{bits})")
     records = np.empty(vectors.shape[0], dtype=record_dtype(vectors.shape[1]))
     records["vec"] = vectors
     records["tok"] = token_ids

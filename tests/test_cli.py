@@ -1,9 +1,12 @@
 import json
+import os
 import struct
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmt import cli, vecstore
 from knnmt.align import LinearMap, load_linear_map, save_linear_map
@@ -41,6 +44,17 @@ def built_store(toy_dir, tmp_path_factory):
                "--dim", "32", "--emit-dump", out / "aa.rdmp",
                "--out", store_path)
     assert code == 0
+    return store_path
+
+
+@pytest.fixture(scope="module")
+def default_dim_store(toy_dir, tmp_path_factory):
+    """A store of the built-in --dim, for runs whose config may set the dimension."""
+    store_path = tmp_path_factory.mktemp("stores") / "aa64.kds"
+    assert run("build", "--train-src", toy_dir / "aa-en.train.aa",
+               "--train-tgt", toy_dir / "aa-en.train.en",
+               "--vocab", toy_dir / "vocab.txt", "--src-lang", "aa",
+               "--out", store_path) == 0
     return store_path
 
 
@@ -96,6 +110,29 @@ class TestBuild:
                    "--src-lang", "xx", "--dim", "8", "--out", out) == 2
         assert "65536 tokens" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_zero_dim_exits_2(self, toy_dir, tmp_path, capsys):
+        out = tmp_path / "s.kds"
+        assert run("build", "--train-src", toy_dir / "aa-en.train.aa",
+                   "--train-tgt", toy_dir / "aa-en.train.en", "--vocab", toy_dir / "vocab.txt",
+                   "--src-lang", "aa", "--dim", "0", "--out", out) == 2
+        assert "error: feature dimension" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--index", "cell-probe", "--cells", "0"], ""),
+        ([], "index=bogus\n"),  # argparse does not check a default against choices
+    ], ids=["zero-cells", "config-index"])
+    def test_bad_index_writes_no_dump(self, toy_dir, tmp_path, capsys, flags, config):
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        dump, out = tmp_path / "d.rdmp", tmp_path / "s.kds"
+        assert run("build", "--config", conf, "--train-src", toy_dir / "aa-en.train.aa",
+                   "--train-tgt", toy_dir / "aa-en.train.en", "--vocab", toy_dir / "vocab.txt",
+                   "--src-lang", "aa", "--dim", "8", *flags, "--emit-dump", dump,
+                   "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not dump.exists() and not out.exists()
 
     def test_build_from_dump(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -259,6 +296,19 @@ class TestBench:
         assert "entries\ttokens_per_sec\tindex" in stdout
         assert "monotonic_speedup=" in out.read_text()
 
+    def test_negative_warmup_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        small = self.make_store_file(tmp_path, rng, 50, "small.kds")
+        large = self.make_store_file(tmp_path, rng, 100, "large.kds")
+        queries = tmp_path / "q.rdmp"
+        write_dump(queries, DumpHeader(16, 30, "xx"),
+                   make_records(rng.normal(size=(5, 16)), 3, np.arange(5), 0))
+        out = tmp_path / "bench.tsv"
+        assert run("bench", small, large, "--queries", queries, "-k", "4",
+                   "--warmup", "-1", "--out", out) == 2
+        assert "error: warm-up" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_store_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         only = self.make_store_file(tmp_path, rng, 100, "only.kds")
@@ -350,6 +400,26 @@ class TestAnalyze:
         assert "duplicate dump for language 'aa'" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "analysis.json").exists()
 
+    @pytest.mark.parametrize("langs, distances", [
+        (("aa", "bb", "cc"), "aa\tbb\t0.5\n"),  # too few columns
+        (("aa", "bb"), None),                     # rank correlation needs 3 languages
+    ], ids=["bad-distance-row", "two-languages"])
+    def test_input_error_writes_nothing(self, toy_dir, analyze_out, tmp_path, capsys,
+                                        langs, distances):
+        out = tmp_path / "reports"
+        argv = ["analyze", "--bleu-table", toy_dir / "bleu-table.tsv",
+                "--vocab", toy_dir / "vocab.txt", "--out", out, "--shuffles", "2"]
+        if distances is not None:
+            (tmp_path / "dist.tsv").write_text(distances)
+            argv += ["--distances", tmp_path / "dist.tsv"]
+        for lang in langs:
+            argv += ["--dump", analyze_out.parent / f"{lang}.rdmp",
+                     "--corpus", lang, toy_dir / f"{lang}-en.train.{lang}",
+                     toy_dir / f"{lang}-en.train.en"]
+        assert run(*argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unexpected_exception_exits_4(self, monkeypatch, tmp_path, capsys):
@@ -361,6 +431,12 @@ class TestExitCodes:
         assert cli.main(["gen-toy", "--out", str(tmp_path / "x"),
                          "--langs", "aa"]) == 4
         assert "internal error" in capsys.readouterr().err
+
+    def test_directory_manifest_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "toy"
+        assert run("gen-toy", "--out", out, "--langs", "aa", "--manifest", tmp_path) == 2
+        assert "names a directory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOversizedCounts:
@@ -431,13 +507,126 @@ class TestConfigFile:
         b"subcommand=x\n",
         b"dim=abc\n",             # argparse cannot convert it
         b"store=a.kds\n",         # a repeatable flag: the typed --store would append to it
-    ], ids=["no-equals", "non-utf8", "func", "subcommand", "bad-int", "repeatable"])
-    def test_bad_config_exits_2(self, tmp_path, capsys, content):
+        b"k=2.5\n",               # converted by -k's int, as on the command line
+        b"k=true\n",
+    ], ids=["no-equals", "non-utf8", "func", "subcommand", "bad-int", "repeatable",
+            "float-int", "bool-int"])
+    def test_bad_config_exits_2(self, toy_dir, default_dim_store, tmp_path, capsys,
+                                content):
         config = tmp_path / "bad.conf"
         config.write_bytes(content)
         out = tmp_path / "out.txt"
-        assert exit_status("translate", "--config", config, "--train-src", "x",
-                           "--train-tgt", "y", "--vocab", "v", "--input", "i",
-                           "--store", "b.kds", "--output", out) == 2
+        assert exit_status("translate", "--config", config,
+                           "--train-src", toy_dir / "aa-en.train.aa",
+                           "--train-tgt", toy_dir / "aa-en.train.en",
+                           "--vocab", toy_dir / "vocab.txt",
+                           "--input", toy_dir / "aa-en.test.aa",
+                           "--store", default_dim_store, "--output", out) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, content", [
+        ("gen-toy", "seed=1.0\n"),
+        ("bleu", "percent=yes\n"),  # a switch takes true or false only
+        ("bleu", "percent=0\n"),
+    ], ids=["float-seed", "switch-yes", "switch-0"])
+    def test_value_its_flag_rejects_exits_2(self, toy_dir, tmp_path, capsys, command,
+                                            content):
+        config = tmp_path / "bad.conf"
+        config.write_text(content)
+        argv = {"gen-toy": ["--out", tmp_path / "toy", "--langs", "aa"],
+                "bleu": ["--hyp", toy_dir / "aa-en.test.en", "--ref", toy_dir / "aa-en.test.en"]}
+        assert exit_status(command, "--config", config, *argv[command]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "BLEU" not in captured.out
+        assert not (tmp_path / "toy").exists()
+
+    def test_numeric_manifest_names_a_file(self, toy_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.conf"
+        config.write_text("manifest=1\npercent=TRUE  # a switch in any case\n")
+        ref = toy_dir / "aa-en.test.en"
+        assert run("bleu", "--config", config, "--hyp", ref, "--ref", ref) == 0
+        assert capsys.readouterr().out.startswith("BLEU = 100.0000")
+        manifest = json.loads((tmp_path / "1").read_text())
+        assert manifest["subcommand"] == "bleu" and manifest["config"]["percent"] is True
+
+
+@pytest.fixture(scope="module")
+def fuzz_argv(tmp_path_factory):
+    """Each subcommand's required flags over tiny inputs (absolute paths), with its
+    outputs named relative to the working directory."""
+    work = tmp_path_factory.mktemp("fuzz")
+    toy = work / "toy"
+    assert run("gen-toy", "--out", toy, "--langs", "aa,bb,cc", "--sentences", "12",
+               "--test", "2", "--words", "12", "--seed", "5") == 0
+    corpus = {lang: [toy / f"{lang}-en.train.{lang}", toy / f"{lang}-en.train.en"]
+              for lang in ("aa", "bb", "cc")}
+    model = ["--train-src", corpus["aa"][0], "--train-tgt", corpus["aa"][1],
+             "--vocab", toy / "vocab.txt"]
+    for lang in ("aa", "bb", "cc"):
+        assert run("build", "--train-src", corpus[lang][0], "--train-tgt", corpus[lang][1],
+                   "--vocab", toy / "vocab.txt", "--src-lang", lang,
+                   "--emit-dump", work / f"{lang}.rdmp", "--out", work / f"{lang}.kds") == 0
+    assert run("map-fit", "--src-store", work / "aa.kds", "--tgt-store", work / "bb.kds",
+               "--alignment", toy / "alignment.aa-bb.tsv", "--out", work / "ab.klm") == 0
+    analyze = ["--bleu-table", toy / "bleu-table.tsv", "--vocab", toy / "vocab.txt",
+               "--out", "reports"]
+    for lang in ("aa", "bb", "cc"):
+        analyze += ["--dump", work / f"{lang}.rdmp", "--corpus", lang, *corpus[lang]]
+    argv = {
+        "gen-toy": ["--out", "toy", "--langs", "aa"],
+        "build": [*model, "--src-lang", "aa", "--out", "s.kds"],
+        "merge": [work / "aa.kds", work / "bb.kds", "--out", "m.kds"],
+        "map-fit": ["--src-store", work / "aa.kds", "--tgt-store", work / "bb.kds",
+                    "--alignment", toy / "alignment.aa-bb.tsv", "--out", "m.klm"],
+        "map-apply": ["--map", work / "ab.klm", "--store", work / "aa.kds", "--out", "s.kds"],
+        "translate": [*model, "--store", work / "aa.kds", "--input", toy / "aa-en.test.aa",
+                      "--output", "out.txt"],
+        "bleu": ["--hyp", toy / "aa-en.test.en", "--ref", toy / "aa-en.test.en"],
+        "bench": [work / "aa.kds", work / "bb.kds", "--queries", work / "cc.rdmp",
+                  "--out", "bench.tsv"],
+        "analyze": analyze,
+    }
+    return {command: [str(a) for a in args] for command, args in argv.items()}
+
+
+def single_valued_keys(command, argv):
+    """Config keys of ``command`` that name one-value flags not already on ``argv``."""
+    parsed = vars(cli.build_parser().parse_args([command, *argv]))
+    given = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("-")}
+    return sorted(k for k, v in parsed.items()
+                  if k not in given | {"func", "subcommand"} and not isinstance(v, list))
+
+
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.floats().map(repr),  # nan and inf included
+    st.sampled_from(["true", "false", ""]),
+    st.text("abc.", min_size=1, max_size=3),  # a short relative name
+)
+
+
+class TestConfigFuzz:
+    """One config key set to a generated value never ends as exit 4, and exit 2
+    leaves no output behind."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_is_0_2_or_3_and_2_writes_nothing(self, fuzz_argv, tmp_path_factory,
+                                                    data):
+        command = data.draw(st.sampled_from(sorted(fuzz_argv)))
+        key = data.draw(st.sampled_from(single_valued_keys(command, fuzz_argv[command])))
+        value = data.draw(CONFIG_VALUES)
+        cwd = tmp_path_factory.mktemp("run")
+        config = cwd.parent / f"{cwd.name}.conf"
+        config.write_text(f"{key}={value}\n")
+        home = os.getcwd()
+        os.chdir(cwd)
+        try:
+            code = exit_status(command, "--config", config, *fuzz_argv[command])
+        finally:
+            os.chdir(home)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert list(cwd.iterdir()) == []

@@ -90,6 +90,16 @@ class TestBuild:
         with pytest.raises(MalformedDumpError):
             build_datastore(records, 10, "XX")
 
+    def test_context_ids_checked_against_their_fields(self):
+        vectors = np.zeros((2, 4))
+        for sids, steps in [(np.array([0, 2**32 + 5]), np.array([70000, 3])),  # wrapped
+                            (-1, 0), (0, -1), (0, np.array([3, 2**16]))]:
+            with pytest.raises(MalformedDumpError):
+                make_records(vectors, [1, 2], sids, steps)
+        records = make_records(vectors, [1, 2], np.array([0, 2**32 - 1]), 65535)
+        assert records["sid"].tolist() == [0, 2**32 - 1]
+        assert records["ts"].tolist() == [65535, 65535]
+
     def test_non_finite_key_rejected(self):
         for bad in (np.nan, np.inf):
             keys = np.zeros((3, 4))
