@@ -59,6 +59,7 @@ from .vecstore import (
     merge_datastores,
     provenance_stats,
     query,
+    read_datastore,
     read_dump,
     record_dtype,
     save_datastore,

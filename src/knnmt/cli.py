@@ -1,9 +1,9 @@
 """Single executable over the library: build/merge/align/translate/evaluate/bench.
 
 Every run is deterministic given its inputs and seed and emits a JSON run
-manifest (``<output>.run.json`` unless overridden) recording the config,
-seed, timings, and throughput. Each ``cmd_*`` returns its default manifest
-path and its result fields; ``main`` times the call, in wall-clock
+manifest (``_manifest_path``) recording the config, seed, timings, and
+throughput. Each ``cmd_*`` returns its result fields; ``main`` checks the
+manifest path before the call, times the call, in wall-clock
 (``elapsed_seconds``) and CPU (``cpu_seconds``) seconds, and writes the
 manifest.
 Exit codes: 0 success, 2 input error, 3 incompatibility, 4 internal
@@ -101,13 +101,29 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _write_manifest(args: argparse.Namespace, default: str | None, fields: dict) -> None:
-    """Write the run manifest (subcommand, config, seed, then ``fields``).
+def _manifest_path(args: argparse.Namespace) -> str | None:
+    """Where the run manifest goes: ``--manifest``, else the command's default.
 
-    ``--manifest`` overrides the command's default path; with neither, no
-    manifest is written.
+    The default is ``<out>.run.json``, ``<output>.run.json`` for translate and
+    ``<out>/<command>.run.json`` for gen-toy and analyze, whose ``--out`` is a
+    directory. ``bleu``, and ``bench`` without ``--out``, write none.
     """
-    target = args.manifest or default
+    if args.manifest:
+        return args.manifest
+    command = args.subcommand
+    if command == "bleu" or (command == "bench" and not args.out):
+        return None
+    if command == "translate":
+        return args.output + ".run.json"
+    if command in ("gen-toy", "analyze"):
+        return os.path.join(args.out, f"{command}.run.json")
+    return args.out + ".run.json"
+
+
+def _write_manifest(args: argparse.Namespace, target: str | None, fields: dict) -> None:
+    """Write the run manifest (subcommand, config, seed, then ``fields``) to ``target``;
+    a None target writes none.
+    """
     if target is None:
         return
     config = {k: v for k, v in vars(args).items()
@@ -134,7 +150,7 @@ def _load_model(args) -> tuple[Vocabulary, list[tuple[list[int], list[int]]],
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_toy(args) -> tuple[str | None, dict]:
+def cmd_gen_toy(args) -> dict:
     spec = toygen.ToySpec(
         langs=tuple(args.langs.split(",")),
         tgt_lang=args.tgt,
@@ -149,10 +165,12 @@ def cmd_gen_toy(args) -> tuple[str | None, dict]:
     paths = toygen.write_dataset(toygen.generate(spec), args.out)
     print(f"generated {len(spec.langs)} languages x {spec.n_train} sentences "
           f"under {args.out}")
-    return os.path.join(args.out, "gen-toy.run.json"), {"outputs": paths}
+    return {"outputs": paths}
 
 
-def cmd_build(args) -> tuple[str | None, dict]:
+def cmd_build(args) -> dict:
+    if args.dump and args.emit_dump:
+        raise ValueError("--emit-dump writes the dump of a corpus build, not of --dump")
     if args.dump:
         header, records = vecstore.read_dump(args.dump)
         vocab_size, lang = header.vocab_size, header.lang
@@ -171,23 +189,21 @@ def cmd_build(args) -> tuple[str | None, dict]:
     store = vecstore.build_datastore(
         records, vocab_size, lang, index_kind=args.index,
         index_params={"n_cells": args.cells, "n_probe": args.probe})
-    if args.emit_dump and not args.dump:
+    if args.emit_dump:
         vecstore.write_dump(args.emit_dump,
                             vecstore.DumpHeader(args.dim, vocab_size, lang), records)
     vecstore.save_datastore(store, args.out, manifest={"corpus": source_desc})
     print(f"built datastore {args.out}: {len(store)} entries, d={store.dim}")
-    return args.out + ".run.json", {"entry_count": len(store), "dim": store.dim,
-                                    "languages": store.languages}
+    return {"entry_count": len(store), "dim": store.dim, "languages": store.languages}
 
 
-def cmd_merge(args) -> tuple[str | None, dict]:
-    stores = [vecstore.load_datastore(p) for p in args.stores]
+def cmd_merge(args) -> dict:
+    stores = [vecstore.read_datastore(p) for p in args.stores]
     merged = vecstore.merge_datastores(stores)
     vecstore.save_datastore(merged, args.out,
                             manifest={"corpus": f"merge of {len(stores)} stores"})
     print(f"merged {len(stores)} stores into {args.out}: {len(merged)} entries")
-    return args.out + ".run.json", {"entry_count": len(merged),
-                                    "languages": merged.languages}
+    return {"entry_count": len(merged), "languages": merged.languages}
 
 
 def _read_alignment(path: str) -> list[tuple[int, int]]:
@@ -204,35 +220,35 @@ def _read_alignment(path: str) -> list[tuple[int, int]]:
     return rows
 
 
-def cmd_map_fit(args) -> tuple[str | None, dict]:
-    src_store = vecstore.load_datastore(args.src_store)
-    tgt_store = vecstore.load_datastore(args.tgt_store)
+def cmd_map_fit(args) -> dict:
+    src_store = vecstore.read_datastore(args.src_store)
+    tgt_store = vecstore.read_datastore(args.tgt_store)
     pairs = align.extract_training_pairs(src_store, tgt_store,
                                          _read_alignment(args.alignment))
     lin_map = align.fit_linear_map(pairs, ridge=args.ridge)
     align.save_linear_map(lin_map, args.out)
     print(f"fitted {lin_map.source_lang}->{lin_map.target_lang} map on "
           f"{len(pairs)} pairs (residual {lin_map.residual:.6g})")
-    return args.out + ".run.json", {"n_pairs": len(pairs), "ridge": lin_map.ridge,
-                                    "residual": lin_map.residual}
+    return {"n_pairs": len(pairs), "ridge": lin_map.ridge, "residual": lin_map.residual}
 
 
-def cmd_map_apply(args) -> tuple[str | None, dict]:
-    store = vecstore.load_datastore(args.store)
+def cmd_map_apply(args) -> dict:
+    store = vecstore.read_datastore(args.store)
     lin_map = align.load_linear_map(args.map)
     mapped = align.map_datastore(store, lin_map)
     vecstore.save_datastore(mapped, args.out,
                             manifest={"corpus": f"{args.store} via {args.map}"})
     print(f"mapped {len(mapped)} keys into {args.out}")
-    return args.out + ".run.json", {"entry_count": len(mapped)}
+    return {"entry_count": len(mapped)}
 
 
-def cmd_translate(args) -> tuple[str | None, dict]:
+def cmd_translate(args) -> dict:
     vocab, _, model = _load_model(args)
     store = None
-    if args.store:
-        stores = [vecstore.load_datastore(p) for p in args.store]
-        store = stores[0] if len(stores) == 1 else vecstore.merge_datastores(stores)
+    if len(args.store) == 1:
+        store = vecstore.load_datastore(args.store[0])
+    elif args.store:  # only the merged store is searched: its index is built on warm-up
+        store = vecstore.merge_datastores([vecstore.read_datastore(p) for p in args.store])
     lin_map = align.load_linear_map(args.map) if args.map else None
     cfg = decode.KnnConfig(k=args.k, lam=args.lam, temperature=args.temperature)
     sentences = read_sentences(args.input)
@@ -260,13 +276,13 @@ def cmd_translate(args) -> tuple[str | None, dict]:
             f.write(" ".join(vocab.decode(out)) + "\n")
     print(f"translated {len(outputs)} sentences into {args.output}")
     # decode-only timing: model and store loading and the warm-up are excluded
-    return args.output + ".run.json", {
+    return {
         "elapsed_seconds": elapsed, "cpu_seconds": cpu, "sentences": len(outputs),
         "tokens_decoded": token_count,
         "tokens_per_sec": token_count / elapsed if elapsed > 0 else None}
 
 
-def cmd_bleu(args) -> tuple[str | None, dict]:
+def cmd_bleu(args) -> dict:
     hyps = read_sentences(args.hyp)
     refs = read_sentences(args.ref)
     result = mteval.bleu(hyps, refs, smoothing=args.smoothing)
@@ -275,8 +291,8 @@ def cmd_bleu(args) -> tuple[str | None, dict]:
     print(f"BLEU = {result.score * factor:.4f} {precisions} "
           f"(BP = {result.brevity_penalty:.4f}, hyp_len = {result.hyp_len}, "
           f"ref_len = {result.ref_len})")
-    return None, {"score": result.score, "brevity_penalty": result.brevity_penalty,
-                  "precisions": list(result.precisions)}
+    return {"score": result.score, "brevity_penalty": result.brevity_penalty,
+            "precisions": list(result.precisions)}
 
 
 @dataclass(frozen=True)
@@ -328,7 +344,7 @@ def benchmark_stores(stores: list[vecstore.Datastore],
     return rows, monotone
 
 
-def cmd_bench(args) -> tuple[str | None, dict]:
+def cmd_bench(args) -> dict:
     stores = [vecstore.load_datastore(p) for p in args.stores]
     _, records = vecstore.read_dump(args.queries)
     rows, monotone = benchmark_stores(stores, records["vec"], args.k, warmup=args.warmup)
@@ -340,13 +356,12 @@ def cmd_bench(args) -> tuple[str | None, dict]:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(table)
-    return (args.out + ".run.json") if args.out else None, {
-        "monotonic_speedup": monotone,
-        "table": [{"entries": r.entries, "tokens_per_sec": r.tokens_per_sec,
-                   "index": r.index_kind} for r in rows]}
+    return {"monotonic_speedup": monotone,
+            "table": [{"entries": r.entries, "tokens_per_sec": r.tokens_per_sec,
+                       "index": r.index_kind} for r in rows]}
 
 
-def cmd_analyze(args) -> tuple[str | None, dict]:
+def cmd_analyze(args) -> dict:
     # every report is computed before --out is created, so an input error writes nothing
     dumpset = None
     for path in args.dump:
@@ -408,7 +423,7 @@ def cmd_analyze(args) -> tuple[str | None, dict]:
         f.write("\n")
     print(f"analysis reports written under {args.out} "
           f"(spearman rho={rho:.3f} over {n} languages)")
-    return os.path.join(args.out, "analyze.run.json"), {"spearman_rho": rho}
+    return {"spearman_rho": rho}
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +471,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--cells", type=int, default=64)
     p.add_argument("--probe", type=int, default=8)
     p.add_argument("--emit-dump", default=None,
-                   help="also write the trajectory dump as RDMP1")
+                   help="also write the trajectory dump as RDMP1 (corpus builds only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -549,11 +564,12 @@ def main(argv: list[str] | None = None) -> int:
                                          f"expected true or false, got {text!r}")
                     config[key] = text.lower() == "true"
             args = build_parser(config).parse_args(argv)
-        if args.manifest and os.path.isdir(args.manifest):  # before any output is written
-            raise IsADirectoryError(f"--manifest names a directory: {args.manifest}")
+        manifest = _manifest_path(args)
+        if manifest and os.path.isdir(manifest):  # before any output is written
+            raise IsADirectoryError(f"the run manifest path names a directory: {manifest}")
         started, cpu_started = time.perf_counter(), time.process_time()
-        default_manifest, fields = args.func(args)
-        _write_manifest(args, default_manifest,
+        fields = args.func(args)
+        _write_manifest(args, manifest,
                         {"elapsed_seconds": time.perf_counter() - started,
                          "cpu_seconds": time.process_time() - cpu_started, **fields})
         return EXIT_OK

@@ -16,11 +16,17 @@ import numpy as np
 
 from .corpus import RESERVED_TOKENS, Vocabulary, write_sentences
 from .features import LINGUISTIC_FEATURES
+from .vecstore import check_lang_code
 
 
 @dataclass(frozen=True)
 class ToySpec:
-    """Shape of a generated dataset."""
+    """Shape of a generated dataset.
+
+    Every language code, the target's included, must pass ``check_lang_code``
+    (MalformedDumpError), and no code may appear twice (ValueError): they
+    name the dataset's files, and the binary writers take the same codes.
+    """
 
     langs: tuple[str, ...]
     tgt_lang: str = "en"
@@ -31,6 +37,13 @@ class ToySpec:
     max_len: int = 9
     coverage: float = 1.0  # fraction of the target pool each language sees
     seed: int = 0
+
+    def __post_init__(self):
+        codes = (*self.langs, self.tgt_lang)
+        for code in codes:
+            check_lang_code(code)
+        if len(set(codes)) < len(codes):
+            raise ValueError(f"a language code is given twice: {', '.join(codes)}")
 
 
 @dataclass(frozen=True)

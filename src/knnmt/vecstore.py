@@ -330,8 +330,10 @@ class Datastore:
     ``timesteps`` and ``lang_indices`` are views of its columns. The search
     index is built from ``index_spec`` on the first access to ``index``,
     which ``query`` makes, so building, merging, mapping or saving a store
-    runs no k-means. Neither the index nor its row norms are built under a
-    lock; the program searches a store from one thread.
+    runs no k-means. ``read_datastore`` returns a store whose index is not
+    built yet; ``load_datastore`` builds it before returning. Neither the
+    index nor its row norms are built under a lock; the program searches a
+    store from one thread.
     """
 
     def __init__(self, rows: np.ndarray, vocab_size: int,
@@ -636,13 +638,10 @@ def save_datastore(store: Datastore, path: str | os.PathLike,
         f.write("\n")
 
 
-def load_datastore(path: str | os.PathLike) -> Datastore:
-    """Read a KDS1 file and build its search index, deterministically, before returning.
+def read_datastore(path: str | os.PathLike) -> Datastore:
+    """Read and check a KDS1 file; its search index is built on the first search.
 
-    KDS1 does not keep the index, so a cell-probe store runs k-means here;
-    it is done on load, not on the first search, so that the first query
-    after a load costs no more than the next.
-
+    For stores that are merged, mapped or paired without being searched.
     The store keeps the file's rows as read; its columns are views of them.
     Sizes, the dimension, the index spec (at most one cell per entry),
     language codes, token ids and the provenance table are checked against
@@ -686,6 +685,17 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     else:
         spec = IndexSpec(kind="cell-probe", n_cells=n_cells, n_probe=n_probe,
                          train_size=train_size)
-    store = Datastore(rows, vocab_size, tuple(lang_codes), spec)
+    return Datastore(rows, vocab_size, tuple(lang_codes), spec)
+
+
+def load_datastore(path: str | os.PathLike) -> Datastore:
+    """``read_datastore``, then build the search index, deterministically, before returning.
+
+    KDS1 does not keep the index, so a cell-probe store runs k-means here;
+    it is done on load, not on the first search, so that the first query
+    after a load costs no more than the next. The checks and errors are
+    ``read_datastore``'s.
+    """
+    store = read_datastore(path)
     store.index  # noqa: B018 - built now; see above
     return store

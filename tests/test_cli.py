@@ -77,6 +77,18 @@ class TestGenToy:
         b = (tmp_path / "two" / "aa-en.train.aa").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--langs", "AA,aa"], "invalid language code: 'AA'"),
+        (["--langs", "aa", "--tgt", "../en"], "invalid language code: '../en'"),
+        (["--langs", "aa,bb,aa"], "given twice"),
+        (["--langs", "aa", "--tgt", "aa"], "given twice"),
+    ], ids=["bad-code", "bad-target", "repeated", "source-is-target"])
+    def test_bad_or_repeated_language_exits_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "toy"
+        assert run("gen-toy", "--out", out, *flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuild:
     def test_store_readable_and_counted(self, toy_dir, built_store):
@@ -133,6 +145,13 @@ class TestBuild:
                    "--out", out) == 2
         assert "error:" in capsys.readouterr().err
         assert not dump.exists() and not out.exists()
+
+    def test_dump_with_emit_dump_exits_2(self, built_store, tmp_path, capsys):
+        out, dump = tmp_path / "s.kds", tmp_path / "d.rdmp"
+        assert run("build", "--dump", built_store.parent / "aa.rdmp", "--emit-dump", dump,
+                   "--out", out) == 2
+        assert "error: --emit-dump" in capsys.readouterr().err
+        assert not out.exists() and not dump.exists()
 
     def test_build_from_dump(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -251,6 +270,84 @@ class TestMapCommands:
         assert run("map-apply", "--map", map_path, "--store", store_path,
                    "--out", out) == 2
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def cp_stores(toy_dir, tmp_path_factory):
+    """Cell-probe stores of aa and bb."""
+    work = tmp_path_factory.mktemp("cellprobe")
+    paths = {}
+    for lang in ("aa", "bb"):
+        paths[lang] = work / f"{lang}.cp.kds"
+        assert run("build", "--train-src", toy_dir / f"{lang}-en.train.{lang}",
+                   "--train-tgt", toy_dir / f"{lang}-en.train.en",
+                   "--vocab", toy_dir / "vocab.txt", "--src-lang", lang, "--dim", "32",
+                   "--index", "cell-probe", "--cells", "4", "--probe", "2",
+                   "--out", paths[lang]) == 0
+    return paths
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The list of ``CellProbeIndex`` builds made while the test runs."""
+    builds = []
+
+    class Counted(vecstore.CellProbeIndex):
+        def __init__(self, *args, **kwargs):
+            builds.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(vecstore, "CellProbeIndex", Counted)
+    return builds
+
+
+class TestIndexBuilds:
+    """Only a store that is searched builds its cell-probe index."""
+
+    def test_merge_builds_none_and_writes_the_same_bytes(self, cp_stores, tmp_path,
+                                                         index_builds):
+        inputs = [cp_stores["aa"], cp_stores["bb"]]
+        out = tmp_path / "m.kds"
+        assert run("merge", *inputs, "--out", out) == 0
+        assert len(index_builds) == 0
+        reference = tmp_path / "ref.kds"
+        vecstore.save_datastore(
+            vecstore.merge_datastores([load_datastore(p) for p in inputs]), reference)
+        assert out.read_bytes() == reference.read_bytes()
+
+    def test_map_fit_and_apply_build_none(self, toy_dir, cp_stores, tmp_path, index_builds):
+        assert run("map-fit", "--src-store", cp_stores["aa"], "--tgt-store", cp_stores["bb"],
+                   "--alignment", toy_dir / "alignment.aa-bb.tsv",
+                   "--out", tmp_path / "m.klm") == 0
+        assert run("map-apply", "--map", tmp_path / "m.klm", "--store", cp_stores["aa"],
+                   "--out", tmp_path / "mapped.kds") == 0
+        assert len(index_builds) == 0
+
+    def test_translate_with_two_stores_builds_one(self, toy_dir, cp_stores, tmp_path,
+                                                  index_builds):
+        merged = tmp_path / "m.kds"
+        assert run("merge", cp_stores["aa"], cp_stores["bb"], "--out", merged) == 0
+        outputs = []
+        for stores in ([cp_stores["aa"], cp_stores["bb"]], [merged]):
+            outputs.append(tmp_path / f"out{len(outputs)}.txt")
+            argv = ["translate", "--train-src", toy_dir / "aa-en.train.aa",
+                    "--train-tgt", toy_dir / "aa-en.train.en", "--vocab", toy_dir / "vocab.txt",
+                    "--dim", "32", "--input", toy_dir / "aa-en.test.aa",
+                    "--output", outputs[-1], "-k", "4"]
+            for store in stores:
+                argv += ["--store", store]
+            del index_builds[:]
+            assert run(*argv) == 0
+            assert len(index_builds) == 1
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_read_builds_none_and_load_builds_one(self, cp_stores, index_builds):
+        store = vecstore.read_datastore(cp_stores["aa"])
+        assert len(index_builds) == 0
+        store.index  # noqa: B018 - the first search builds it
+        assert len(index_builds) == 1
+        load_datastore(cp_stores["aa"])
+        assert len(index_builds) == 2
 
 
 class TestBleuCommand:
@@ -437,6 +534,39 @@ class TestExitCodes:
         assert run("gen-toy", "--out", out, "--langs", "aa", "--manifest", tmp_path) == 2
         assert "names a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-toy", "merge"])
+    def test_directory_default_manifest_exits_2_before_any_output(self, built_store,
+                                                                   tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "gen-toy":
+            argv, manifest = ["--langs", "aa"], out / "gen-toy.run.json"
+        else:
+            argv, manifest = [built_store], tmp_path / "out.run.json"
+        manifest.mkdir(parents=True)
+        assert run(command, *argv, "--out", out) == 2
+        assert "names a directory" in capsys.readouterr().err
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["gen-toy", "--out", "d", "--langs", "aa"], os.path.join("d", "gen-toy.run.json")),
+        (["build", "--dump", "x.rdmp", "--out", "s.kds"], "s.kds.run.json"),
+        (["merge", "a.kds", "--out", "m.kds"], "m.kds.run.json"),
+        (["map-fit", "--src-store", "a", "--tgt-store", "b", "--alignment", "t",
+          "--out", "m.klm"], "m.klm.run.json"),
+        (["map-apply", "--map", "m", "--store", "a", "--out", "s.kds"], "s.kds.run.json"),
+        (["translate", "--train-src", "s", "--train-tgt", "t", "--vocab", "v",
+          "--input", "i", "--output", "o.txt"], "o.txt.run.json"),
+        (["bleu", "--hyp", "h", "--ref", "r"], None),
+        (["bleu", "--hyp", "h", "--ref", "r", "--manifest", "b.json"], "b.json"),
+        (["bench", "a.kds", "--queries", "q"], None),
+        (["bench", "a.kds", "--queries", "q", "--out", "b.tsv"], "b.tsv.run.json"),
+        (["analyze", "--dump", "d", "--bleu-table", "b", "--corpus", "aa", "s", "t",
+          "--vocab", "v", "--out", "r"], os.path.join("r", "analyze.run.json")),
+    ], ids=["gen-toy", "build", "merge", "map-fit", "map-apply", "translate", "bleu",
+            "bleu-manifest", "bench", "bench-out", "analyze"])
+    def test_manifest_path_is_known_before_the_run(self, argv, expected):
+        assert cli._manifest_path(cli.build_parser().parse_args(argv)) == expected
 
 
 class TestOversizedCounts:

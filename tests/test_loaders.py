@@ -3,6 +3,8 @@
 Every truncation, every single-bit flip and one appended byte of a small
 RDMP1, cell-probe KDS1 and KLM1 file either loads or raises a toolkit error,
 never anything else; fields the header contradicts raise CorruptFileError.
+KDS1 files go through both ``load_datastore`` and ``read_datastore`` (the
+"KDS1-read" cases), which must make the same checks.
 """
 
 import struct
@@ -18,6 +20,7 @@ from knnmt.vecstore import (
     load_datastore,
     make_records,
     merge_datastores,
+    read_datastore,
     read_dump,
     save_datastore,
     write_dump,
@@ -54,6 +57,7 @@ def mutations(raw: bytes):
 FORMATS = {
     "RDMP1": (write_rdmp, read_dump),
     "KDS1": (write_kds, load_datastore),
+    "KDS1-read": (write_kds, read_datastore),
     "KLM1": (write_klm, load_linear_map),
 }
 
@@ -105,6 +109,8 @@ CORRUPTIONS = {
     "klm-negative-ridge": ("KLM1", 22, struct.pack("<d", -1.0)),
     "klm-nan-matrix": ("KLM1", 30, struct.pack("<f", float("nan"))),
 }
+CORRUPTIONS.update({f"{case}-read": ("KDS1-read", at, data)
+                    for case, (fmt, at, data) in list(CORRUPTIONS.items()) if fmt == "KDS1"})
 
 
 @pytest.mark.parametrize("case", CORRUPTIONS)
@@ -125,5 +131,6 @@ def test_language_listed_twice_rejected(tmp_path):
     path = tmp_path / "store.kds"
     save_datastore(merge_datastores(stores), path)
     path.write_bytes(path.read_bytes().replace(b"bb", b"aa"))
-    with pytest.raises(CorruptFileError):
-        load_datastore(path)
+    for load in (load_datastore, read_datastore):
+        with pytest.raises(CorruptFileError):
+            load(path)
