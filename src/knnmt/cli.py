@@ -368,12 +368,21 @@ def cmd_analyze(args) -> dict:
         header, records = vecstore.read_dump(path)
         if dumpset is None:
             dumpset = transfer.ContextDumpSet(header.dim, target_lang=args.pivot)
-        if header.lang in dumpset.languages:
-            raise ValueError(f"duplicate dump for language {header.lang!r}")
         dumpset.add_records(header.lang, records)
     langs = sorted(dumpset.languages)
     if len(langs) < 2:
         raise EmptyInputError("analyze needs dumps for at least two languages")
+    vocab = Vocabulary.from_file(args.vocab)
+    corpora = {}
+    for lang, src_path, tgt_path in args.corpus:
+        if lang in corpora:
+            raise ValueError(f"duplicate --corpus for language {lang!r}")
+        pairs = encode_pairs(load_parallel(src_path, tgt_path), vocab)
+        corpora[lang] = features.Corpus.from_lists(
+            lang, [s for s, _ in pairs], [t for _, t in pairs])
+    if sorted(corpora) != langs:
+        raise ValueError(f"--dump languages {langs} and --corpus languages "
+                         f"{sorted(corpora)} differ")
     sims = transfer.similarity_matrix(dumpset, langs)
     bleu_table = transfer.BleuTable.from_file(args.bleu_table)
     rtp_values = {lang: transfer.rtp(lang, sims, bleu_table, langs, args.pivot)
@@ -382,12 +391,6 @@ def cmd_analyze(args) -> dict:
     rho, n = transfer.spearman([rtp_values[l] for l in langs],
                                [deltas[l] for l in langs])
 
-    vocab = Vocabulary.from_file(args.vocab)
-    corpora = {}
-    for lang, src_path, tgt_path in args.corpus:
-        pairs = encode_pairs(load_parallel(src_path, tgt_path), vocab)
-        corpora[lang] = features.Corpus.from_lists(
-            lang, [s for s, _ in pairs], [t for _, t in pairs])
     distances = (features.load_distance_table(args.distances)
                  if args.distances else None)
     table = features.pair_features_table(corpora, len(vocab), distances)

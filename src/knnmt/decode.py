@@ -251,15 +251,14 @@ class ToyBaseModel:
     """
 
     def __init__(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
-                 vocab_size: int, dim: int = 64,
-                 hash_seed: int = FEATURE_HASH_SEED):
+                 vocab_size: int, dim: int = 64):
         if not pairs:
             raise UntrainedModelError("toy model needs a non-empty corpus")
         if dim < 1:
             raise ValueError(f"feature dimension must be positive, got {dim}")
         self.vocab_size = vocab_size
         self.dim = dim
-        self._features = _FeatureHashes(hash_seed.to_bytes(8, "little"), dim)
+        self._features = _FeatureHashes(FEATURE_HASH_SEED.to_bytes(8, "little"), dim)
         src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
         tgt_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
         sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,

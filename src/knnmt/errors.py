@@ -65,9 +65,5 @@ class InsufficientDataError(KnnmtError):
     """Not enough observations for the statistic."""
 
 
-class ScaleMismatchError(KnnmtError):
-    """Scores on different scales cannot be combined."""
-
-
 class UndefinedReferenceError(KnnmtError):
     """A reference sentence is empty, leaving the metric undefined."""

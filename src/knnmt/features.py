@@ -2,7 +2,7 @@
 
 Five symmetric features describe a language pair: relative corpus size,
 vocabulary occupancy ratio, source subword overlap, multi-parallel overlap,
-and target n-gram overlap. Together with loaded linguistic distances they
+and target unigram overlap. Together with loaded linguistic distances they
 feed a leave-one-out linear regression that predicts representational
 similarity, plus permutation importance over the fitted model.
 """
@@ -10,8 +10,10 @@ similarity, plus permutation importance over the fitted model.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .errors import (
     InsufficientDataError,
     SingularSystemError,
 )
-from .mteval import ngram_counts
 
 DATASET_FEATURES = (
     "size_ratio",
@@ -40,16 +41,13 @@ RIDGE_FALLBACK_FACTOR = 1e-6
 class Corpus:
     """One language's parallel data: source sentences aligned to pivot targets.
 
-    ``alignment_keys`` identify which rows across corpora refer to the same
-    pivot sentence; they default to the target-side content, which is the
-    right identity for multi-parallel reference data. Generated targets can
-    differ per language for the same key.
+    A target sentence is its own identity: rows of two corpora with the same
+    target sentence are multi-parallel rows.
     """
 
     lang: str
     source_sentences: tuple[tuple[int, ...], ...]
     target_sentences: tuple[tuple[int, ...], ...]
-    alignment_keys: tuple[Hashable, ...] | None = None
 
     def __post_init__(self):
         if len(self.source_sentences) < 1:
@@ -57,44 +55,26 @@ class Corpus:
         if len(self.source_sentences) != len(self.target_sentences):
             raise ValueError(
                 f"corpus {self.lang!r}: source and target sides disagree in length")
-        if (self.alignment_keys is not None
-                and len(self.alignment_keys) != len(self.source_sentences)):
-            raise ValueError(f"corpus {self.lang!r}: one key per sentence required")
 
     @classmethod
     def from_lists(cls, lang: str, sources: Sequence[Sequence[int]],
-                   targets: Sequence[Sequence[int]],
-                   keys: Sequence[Hashable] | None = None) -> "Corpus":
+                   targets: Sequence[Sequence[int]]) -> "Corpus":
         return cls(lang=lang,
                    source_sentences=tuple(tuple(s) for s in sources),
-                   target_sentences=tuple(tuple(t) for t in targets),
-                   alignment_keys=tuple(keys) if keys is not None else None)
+                   target_sentences=tuple(tuple(t) for t in targets))
 
     @property
     def size(self) -> int:
         return len(self.source_sentences)
 
-    @property
+    @cached_property
     def vocab_used(self) -> frozenset[int]:
         return frozenset(tok for sent in self.source_sentences for tok in sent)
 
-    @property
-    def keys(self) -> tuple[Hashable, ...]:
-        if self.alignment_keys is not None:
-            return self.alignment_keys
-        return self.target_sentences
-
-    @property
-    def target_keys(self) -> frozenset[Hashable]:
-        """Identity keys; keys shared across corpora mark multi-parallel rows."""
-        return frozenset(self.keys)
-
-    def targets_by_key(self) -> dict[Hashable, tuple[int, ...]]:
-        """First target sentence per key; duplicate keys collapse to the first."""
-        out: dict[Hashable, tuple[int, ...]] = {}
-        for key, target in zip(self.keys, self.target_sentences):
-            out.setdefault(key, target)
-        return out
+    @cached_property
+    def target_set(self) -> frozenset[tuple[int, ...]]:
+        """The distinct target sentences; those two corpora share are multi-parallel."""
+        return frozenset(self.target_sentences)
 
 
 def size_ratio(c1: Corpus, c2: Corpus) -> float:
@@ -123,32 +103,23 @@ def src_subword_overlap(c1: Corpus, c2: Corpus) -> float:
 
 
 def multi_parallel_overlap(c1: Corpus, c2: Corpus) -> float:
-    """Jaccard overlap of target-side identity keys."""
-    k1 = c1.target_keys
-    k2 = c2.target_keys
-    return len(k1 & k2) / len(k1 | k2)
+    """Jaccard overlap of the distinct target sentences."""
+    t1 = c1.target_set
+    t2 = c2.target_set
+    return len(t1 & t2) / len(t1 | t2)
 
 
-def tgt_ngram_overlap(c1: Corpus, c2: Corpus, n_max: int = 1) -> float:
-    """Raw co-occurrence weight of target n-grams over shared sentences.
+def tgt_ngram_overlap(c1: Corpus, c2: Corpus) -> float:
+    """Raw co-occurrence weight of target unigrams over shared target sentences.
 
-    For each target sentence present in both corpora, the n-gram count
-    vectors of the two sides are multiplied elementwise, summed, and weighted
-    by n; orders run from 1 to n_max (unigrams by default). The raw value is
-    unbounded; min-max scaling to [0, 1] happens across a pair set in
-    pair_features_table.
+    Each distinct target sentence present in both corpora adds the product of
+    its two sides' unigram count vectors, which for the same sentence is the
+    sum of its squared unigram counts. The raw value is unbounded; min-max
+    scaling to [0, 1] happens across a pair set in pair_features_table.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    targets1 = c1.targets_by_key()
-    targets2 = c2.targets_by_key()
-    total = 0.0
-    for key in targets1.keys() & targets2.keys():
-        for n in range(1, n_max + 1):
-            counts1 = ngram_counts(targets1[key], n)
-            counts2 = ngram_counts(targets2[key], n)
-            total += n * sum(counts1[g] * counts2[g] for g in counts1.keys() & counts2.keys())
-    return total
+    shared = c1.target_set & c2.target_set
+    return float(sum(count * count for sentence in shared
+                     for count in Counter(sentence).values()))
 
 
 @dataclass(frozen=True)
@@ -202,9 +173,9 @@ def load_distance_table(path: str | os.PathLike) -> dict[tuple[str, str], dict[s
 
 
 def pair_features_table(corpora: dict[str, Corpus], vocab_size: int,
-                        distances: dict[tuple[str, str], dict[str, float]] | None = None,
-                        n_max: int = 1) -> dict[tuple[str, str], PairFeatures]:
-    """All unordered pair features, with tgt n-gram overlap min-max scaled.
+                        distances: dict[tuple[str, str], dict[str, float]] | None = None
+                        ) -> dict[tuple[str, str], PairFeatures]:
+    """All unordered pair features, with the target unigram overlap min-max scaled.
 
     A degenerate pair set (all raw overlap values equal) scales to 1.0 when
     the shared value is positive and 0.0 otherwise.
@@ -213,7 +184,7 @@ def pair_features_table(corpora: dict[str, Corpus], vocab_size: int,
     if len(langs) < 2:
         raise InsufficientDataError("need at least two corpora")
     pairs = [(a, b) for i, a in enumerate(langs) for b in langs[i + 1:]]
-    raw_overlap = {p: tgt_ngram_overlap(corpora[p[0]], corpora[p[1]], n_max) for p in pairs}
+    raw_overlap = {p: tgt_ngram_overlap(corpora[p[0]], corpora[p[1]]) for p in pairs}
     lo = min(raw_overlap.values())
     hi = max(raw_overlap.values())
     table = {}
@@ -311,13 +282,12 @@ class RegressionReport:
 
 def predict_xsim_loo(pairs: Sequence[tuple[PairFeatures, float]],
                      languages: Sequence[str] | None = None, *,
-                     macro: bool = False, n_shuffles: int = 50,
-                     seed: int = 0) -> RegressionReport:
+                     n_shuffles: int = 50, seed: int = 0) -> RegressionReport:
     """Leave-one-language-out linear regression of similarity targets.
 
     Each fold holds out every pair involving one language and fits on the
-    rest. The reported MAE pools the per-pair errors of all folds
-    (micro average); ``macro=True`` averages the fold means instead.
+    rest. The mean MAE pools the per-pair errors of all folds; each fold's
+    own MAE is reported beside it.
     Coefficients and permutation importances come from a final fit on all
     pairs.
     """
@@ -339,7 +309,7 @@ def predict_xsim_loo(pairs: Sequence[tuple[PairFeatures, float]],
         errors = np.abs(model.predict(x[test_idx]) - y[test_idx])
         fold_mae.append(float(errors.mean()))
         pooled_errors.extend(errors.tolist())
-    mean_mae = float(np.mean(fold_mae)) if macro else float(np.mean(pooled_errors))
+    mean_mae = float(np.mean(pooled_errors))
     final = _fit_with_fallback(x, y, names)
     importances = permutation_importance(final, x, y, n_shuffles=n_shuffles, seed=seed)
     return RegressionReport(

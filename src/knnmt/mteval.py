@@ -16,7 +16,6 @@ from typing import Hashable, Sequence
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
-    ScaleMismatchError,
     UndefinedReferenceError,
 )
 
@@ -34,7 +33,6 @@ class BleuScore:
     brevity_penalty: float
     hyp_len: int
     ref_len: int
-    scale: str = "unit"
 
 
 def ngram_counts(tokens: Sentence, n: int) -> Counter:
@@ -104,8 +102,5 @@ def bleu(hypotheses: Sequence[Sentence], references: Sequence[Sentence],
 
 
 def delta_bleu(bleu_a: BleuScore, bleu_b: BleuScore) -> float:
-    """Difference of two scores on the same declared scale: a - b."""
-    if bleu_a.scale != bleu_b.scale:
-        raise ScaleMismatchError(
-            f"cannot subtract {bleu_b.scale} scores from {bleu_a.scale} scores")
+    """Difference of two unit-scale scores: a - b."""
     return bleu_a.score - bleu_b.score

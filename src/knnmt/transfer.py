@@ -37,8 +37,8 @@ class ContextDumpSet:
 
     Sentences with the same sentence id across languages refer to the same
     target sentence; within a sentence, vectors are keyed by decoding
-    timestep. When a (sentence, timestep) pair repeats within a language,
-    across ``add_records`` calls too, the last record added wins.
+    timestep. Each language holds one dump; when a (sentence, timestep) pair
+    repeats within it, the last record wins.
     """
 
     def __init__(self, dim: int, target_lang: str = "en"):
@@ -52,12 +52,12 @@ class ContextDumpSet:
         return tuple(self._records)
 
     def add_records(self, lang: str, records: np.ndarray) -> None:
-        """Add ``record_dtype`` rows for one language."""
+        """Add one language's ``record_dtype`` rows; a second add for it raises ValueError."""
         if records.dtype != record_dtype(self.dim):
             raise DimensionMismatchError(
                 f"records have dtype {records.dtype}, dump set declares d={self.dim}")
         if lang in self._records:
-            records = np.concatenate([self._records[lang], records])
+            raise ValueError(f"duplicate dump for language {lang!r}")
         self._records[lang] = records
         self._contexts[lang] = context_rows(records["sid"], records["ts"])
 
@@ -70,14 +70,11 @@ class ContextDumpSet:
         return keys, self._records[lang]["vec"][rows]
 
 
-def xsim(dumps: ContextDumpSet, lang1: str, lang2: str,
-         harmonic_weights: bool = False) -> float:
+def xsim(dumps: ContextDumpSet, lang1: str, lang2: str) -> float:
     """Mean cosine similarity between two languages' context vectors.
 
     Per shared sentence, similarities at shared timesteps are averaged;
-    sentence means are then averaged. ``harmonic_weights=True`` keeps the
-    literal 1/t timestep weighting (t counted from 1) instead of the mean,
-    for audit only.
+    sentence means are then averaged.
     """
     keys1, vecs1 = dumps.contexts(lang1)
     keys2, vecs2 = dumps.contexts(lang2)
@@ -91,12 +88,9 @@ def xsim(dumps: ContextDumpSet, lang1: str, lang2: str,
     rows1 = vecs1[idx1].astype(np.float64)
     rows2 = vecs2[idx2].astype(np.float64)
     sims = np.array([cosine(a, b) for a, b in zip(rows1, rows2)])
-    if harmonic_weights:
-        sims = sims * (1.0 / ((shared & 0xFFFF).astype(np.float64) + 1.0))
     sentence = shared >> 16
     starts = np.flatnonzero(sentence[1:] != sentence[:-1]) + 1
-    reduce = np.sum if harmonic_weights else np.mean
-    return float(np.mean([float(reduce(part)) for part in np.split(sims, starts)]))
+    return float(np.mean([float(np.mean(part)) for part in np.split(sims, starts)]))
 
 
 @dataclass(frozen=True)
@@ -129,16 +123,14 @@ class SimilarityMatrix:
 
 
 def similarity_matrix(dumps: ContextDumpSet,
-                      langs: Sequence[str] | None = None,
-                      harmonic_weights: bool = False) -> SimilarityMatrix:
+                      langs: Sequence[str] | None = None) -> SimilarityMatrix:
     """xsim for every language pair; the diagonal is 1 by definition."""
     codes = tuple(langs) if langs is not None else dumps.languages
     n = len(codes)
     values = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            values[i, j] = values[j, i] = xsim(dumps, codes[i], codes[j],
-                                               harmonic_weights=harmonic_weights)
+            values[i, j] = values[j, i] = xsim(dumps, codes[i], codes[j])
     return SimilarityMatrix(langs=codes, values=values)
 
 

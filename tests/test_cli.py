@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -485,6 +486,15 @@ class TestAnalyze:
         assert header[:2] == ["lang1", "lang2"] and header[-1] == "xsim"
         assert header[2:-1] == summary["regression"]["feature_names"]
 
+    def test_report_bytes_are_pinned(self, analyze_out):
+        # blake2b-64 digests of this fixture's reports; a change to any report byte
+        # must update them on purpose
+        expected = {"xsim.tsv": "babfbcb082c8e6b3", "rtp.tsv": "32d45500ae4f89e6",
+                    "features.tsv": "1184aff07ea5f460"}
+        assert {name: hashlib.blake2b((analyze_out / name).read_bytes(),
+                                      digest_size=8).hexdigest()
+                for name in expected} == expected
+
     def test_two_dumps_of_one_language_exit_2(self, toy_dir, analyze_out, tmp_path, capsys):
         dump = analyze_out.parent / "aa.rdmp"
         argv = ["analyze", "--bleu-table", toy_dir / "bleu-table.tsv",
@@ -497,22 +507,36 @@ class TestAnalyze:
         assert "duplicate dump for language 'aa'" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "analysis.json").exists()
 
-    @pytest.mark.parametrize("langs, distances", [
-        (("aa", "bb", "cc"), "aa\tbb\t0.5\n"),  # too few columns
-        (("aa", "bb"), None),                     # rank correlation needs 3 languages
-    ], ids=["bad-distance-row", "two-languages"])
+    @pytest.mark.parametrize("dumps, corpora, distances", [
+        ("aa bb cc", "aa bb cc", "aa\tbb\t0.5\n"),  # too few columns
+        ("aa bb", "aa bb", None),        # rank correlation needs 3 languages
+        ("aa bb cc", "aa bb cc cc:bb", None),  # cc twice, the second with bb's files
+        ("aa bb cc dd", "aa bb cc", None),     # a dump language without a corpus
+        ("aa bb cc", "aa bb cc dd:cc", None),  # a corpus language without a dump
+    ], ids=["bad-distance-row", "two-languages", "repeated-corpus", "dump-without-corpus",
+            "corpus-without-dump"])
     def test_input_error_writes_nothing(self, toy_dir, analyze_out, tmp_path, capsys,
-                                        langs, distances):
+                                        dumps, corpora, distances):
+        # a fourth language, dd, with cc's records and its own score row
+        header, records = vecstore.read_dump(analyze_out.parent / "cc.rdmp")
+        write_dump(tmp_path / "dd.rdmp", DumpHeader(header.dim, header.vocab_size, "dd"),
+                   records)
+        scores = tmp_path / "bleu-table.tsv"
+        scores.write_text((toy_dir / "bleu-table.tsv").read_text() + "dd\t0.2\t0.3\n")
         out = tmp_path / "reports"
-        argv = ["analyze", "--bleu-table", toy_dir / "bleu-table.tsv",
+        argv = ["analyze", "--bleu-table", scores,
                 "--vocab", toy_dir / "vocab.txt", "--out", out, "--shuffles", "2"]
         if distances is not None:
             (tmp_path / "dist.tsv").write_text(distances)
             argv += ["--distances", tmp_path / "dist.tsv"]
-        for lang in langs:
-            argv += ["--dump", analyze_out.parent / f"{lang}.rdmp",
-                     "--corpus", lang, toy_dir / f"{lang}-en.train.{lang}",
-                     toy_dir / f"{lang}-en.train.en"]
+        for lang in dumps.split():
+            folder = tmp_path if lang == "dd" else analyze_out.parent
+            argv += ["--dump", folder / f"{lang}.rdmp"]
+        for spec in corpora.split():  # "lang" or "lang:files_of_lang"
+            lang, _, files = spec.partition(":")
+            files = files or lang
+            argv += ["--corpus", lang, toy_dir / f"{files}-en.train.{files}",
+                     toy_dir / f"{files}-en.train.en"]
         assert run(*argv) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmt.errors import (
     EmptyInputError,
@@ -23,12 +25,13 @@ from knnmt.features import (
     tgt_ngram_overlap,
     vocab_occupancy_ratio,
 )
+from knnmt.mteval import ngram_counts
 
 
-def corpus(lang, sources, targets=None, keys=None):
+def corpus(lang, sources, targets=None):
     if targets is None:
         targets = sources
-    return Corpus.from_lists(lang, sources, targets, keys=keys)
+    return Corpus.from_lists(lang, sources, targets)
 
 
 def random_corpus(rng, lang, n, vocab=20):
@@ -121,30 +124,68 @@ class TestMultiParallelOverlap:
         assert multi_parallel_overlap(c1, c2) == pytest.approx(1 / 3)
 
 
+def keyed_overlap(c1, c2):
+    """The keyed overlap that tgt_ngram_overlap replaced, with each target sentence as
+    its own key: the first target per key, unigram count vectors multiplied per shared key."""
+    def targets_by_key(c):
+        out = {}
+        for key, target in zip(c.target_sentences, c.target_sentences):
+            out.setdefault(key, target)
+        return out
+
+    targets1 = targets_by_key(c1)
+    targets2 = targets_by_key(c2)
+    total = 0.0
+    for key in targets1.keys() & targets2.keys():
+        counts1 = ngram_counts(targets1[key], 1)
+        counts2 = ngram_counts(targets2[key], 1)
+        total += sum(counts1[g] * counts2[g] for g in counts1.keys() & counts2.keys())
+    return total
+
+
 class TestTgtNgramOverlap:
     def test_hand_count_product(self):
-        # counts {the:2, cat:1} x {the:1, cat:1} -> 2*1 + 1*1 = 3
+        # shared [the, the, cat]: counts {the:2, cat:1} on both sides -> 2*2 + 1*1 = 5,
+        # once however often either corpus repeats it
         the, cat = 7, 8
-        c1 = corpus("aa", [[3]], [[the, the, cat]], keys=["s0"])
-        c2 = corpus("bb", [[4]], [[the, cat]], keys=["s0"])
-        assert tgt_ngram_overlap(c1, c2, n_max=1) == 3.0
+        c1 = corpus("aa", [[3], [4]], [[the, the, cat], [the, the, cat]])
+        c2 = corpus("bb", [[4], [5]], [[the, cat], [the, the, cat]])
+        assert tgt_ngram_overlap(c1, c2) == 5.0
 
     def test_zero_when_no_shared_unigrams(self):
-        c1 = corpus("aa", [[3]], [[7, 7]], keys=["s0"])
-        c2 = corpus("bb", [[4]], [[8, 9]], keys=["s0"])
+        c1 = corpus("aa", [[3]], [[7, 7]])
+        c2 = corpus("bb", [[4]], [[8, 9]])
         assert tgt_ngram_overlap(c1, c2) == 0.0
 
     def test_zero_when_no_shared_sentences(self):
-        c1 = corpus("aa", [[3]], [[7]], keys=["s0"])
-        c2 = corpus("bb", [[4]], [[7]], keys=["s1"])
+        # the unigrams are shared, the sentences are not
+        c1 = corpus("aa", [[3]], [[7, 8]])
+        c2 = corpus("bb", [[4]], [[8, 7]])
         assert tgt_ngram_overlap(c1, c2) == 0.0
 
-    def test_bigram_weighting(self):
-        # shared sentence [7,8,7]: unigrams 7:2,8:1 both sides -> 5
-        # bigrams (7,8):1,(8,7):1 -> 2, weighted by n=2 -> 4; total 9
-        c1 = corpus("aa", [[3]], [[7, 8, 7]], keys=["s0"])
-        c2 = corpus("bb", [[4]], [[7, 8, 7]], keys=["s0"])
-        assert tgt_ngram_overlap(c1, c2, n_max=2) == 9.0
+    def test_bigrams_add_nothing(self):
+        # shared [7, 8, 7]: unigrams 7:2, 8:1 -> 5; its bigrams would have added 4
+        c1 = corpus("aa", [[3]], [[7, 8, 7]])
+        c2 = corpus("bb", [[4]], [[7, 8, 7]])
+        assert tgt_ngram_overlap(c1, c2) == 5.0
+
+    @given(st.lists(st.lists(st.integers(3, 8), min_size=1, max_size=5),
+                    min_size=1, max_size=6),
+           st.lists(st.integers(0, 5), min_size=1, max_size=10),
+           st.lists(st.integers(0, 5), min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_keyed_oracle(self, pool, picks1, picks2):
+        # targets drawn from one small pool repeat within and across corpora
+        c1 = corpus("aa", [[3]] * len(picks1), [pool[i % len(pool)] for i in picks1])
+        c2 = corpus("bb", [[3]] * len(picks2), [pool[i % len(pool)] for i in picks2])
+        overlap = tgt_ngram_overlap(c1, c2)
+        assert type(overlap) is float
+        assert overlap == keyed_overlap(c1, c2) == tgt_ngram_overlap(c2, c1)
+
+    def test_corpus_sets_are_built_once(self):
+        c = corpus("aa", [[3, 4]], [[7, 8]])
+        assert c.vocab_used is c.vocab_used
+        assert c.target_set is c.target_set
 
 
 class TestPairFeaturesTable:
@@ -251,19 +292,6 @@ class TestLooRegression:
         pairs, langs = synthetic_pairs(rng, 2, coef=np.ones(5))
         with pytest.raises(InsufficientDataError):
             predict_xsim_loo(pairs, langs)
-
-    def test_macro_flag_changes_aggregation(self):
-        # on a complete pair graph every fold has n-1 pairs and the two
-        # aggregations coincide; drop pairs to make fold sizes differ
-        rng = np.random.default_rng(6)
-        n_pairs = 6 * 5 // 2
-        pairs, langs = synthetic_pairs(rng, 6,
-                                       targets=rng.uniform(0, 1, size=n_pairs))
-        uneven = [p for p in pairs
-                  if (p[0].lang1, p[0].lang2) not in {("l0", "l1"), ("l0", "l2")}]
-        micro = predict_xsim_loo(uneven, langs).mean_mae
-        macro = predict_xsim_loo(uneven, langs, macro=True).mean_mae
-        assert micro != macro
 
     def test_loo_folds_partition_pairs(self):
         rng = np.random.default_rng(7)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from knnmt.errors import (
     DimensionMismatchError,
     EmptyInputError,
-    ScaleMismatchError,
     UndefinedReferenceError,
 )
 from knnmt.mteval import BleuScore, bleu, delta_bleu
@@ -143,10 +142,3 @@ class TestDeltaBleu:
     def test_antisymmetry(self, a, b):
         sa, sb = self.make(a), self.make(b)
         assert delta_bleu(sa, sb) == -delta_bleu(sb, sa)
-
-    def test_scale_mismatch(self):
-        percent = BleuScore(score=40.0, precisions=(0.4,) * 4,
-                            brevity_penalty=1.0, hyp_len=10, ref_len=10,
-                            scale="percent")
-        with pytest.raises(ScaleMismatchError):
-            delta_bleu(self.make(0.4), percent)

@@ -56,14 +56,6 @@ class TestXsim:
         dumps = dump_from_arrays(2, {"aa": a, "bb": b})
         assert xsim(dumps, "aa", "bb") == pytest.approx(0.5, abs=1e-12)
 
-    def test_harmonic_flag_keeps_literal_weighting(self):
-        a = {0: [[1.0, 0.0], [1.0, 0.0]]}
-        b = {0: [[1.0, 0.0], [0.0, 1.0]]}
-        dumps = dump_from_arrays(2, {"aa": a, "bb": b})
-        # literal reading: 1/1 * 1.0 + 1/2 * 0.0
-        assert xsim(dumps, "aa", "bb", harmonic_weights=True) == \
-            pytest.approx(1.0, abs=1e-12)
-
     def test_symmetric(self):
         rng = np.random.default_rng(1)
         a = {sid: [rng.normal(size=5) for _ in range(3)] for sid in range(6)}
@@ -119,13 +111,14 @@ class TestXsim:
         dumps.add_records("bb", make_records([[1.0, 0.0]], 0, 0, [0]))
         assert xsim(dumps, "aa", "bb") == 1.0
 
-    def test_duplicate_across_add_calls_keeps_last_record(self):
+    def test_duplicate_across_add_calls_raises(self):
         dumps = ContextDumpSet(2)
         dumps.add_records("aa", make_records([[1.0, 0.0], [1.0, 0.0]], 0, 0, [0, 1]))
-        dumps.add_records("aa", make_records([[0.0, 1.0]], 0, 0, [1]))
+        with pytest.raises(ValueError, match="duplicate dump for language 'aa'"):
+            dumps.add_records("aa", make_records([[0.0, 1.0]], 0, 0, [1]))
         dumps.add_records("bb", make_records([[1.0, 0.0], [1.0, 0.0]], 0, 0, [0, 1]))
-        # t=0 keeps its first vector (cosine 1); t=1 takes the later one (cosine 0)
-        assert xsim(dumps, "aa", "bb") == 0.5
+        # the first add stands unchanged
+        assert xsim(dumps, "aa", "bb") == 1.0
 
     def test_wrong_dimension_rejected(self):
         dumps = ContextDumpSet(2)
