@@ -144,7 +144,10 @@ def fit_linear_map(pairs: PairedContexts, ridge: float | None = None) -> LinearM
         raise SingularSystemError(
             "normal equations are singular; retry with ridge > 0") from None
     matrix = solution.T
-    residual = float(np.sum((y - x @ solution) ** 2))
+    errors = x @ solution  # one buffer for the residual: no temporaries of y's size
+    np.subtract(y, errors, out=errors)
+    np.square(errors, out=errors)
+    residual = float(np.sum(errors))
     return LinearMap(matrix=matrix, source_lang=pairs.src_lang,
                      target_lang=pairs.tgt_lang, ridge=float(ridge),
                      residual=residual)

@@ -367,7 +367,7 @@ def cmd_analyze(args) -> dict:
     for path in args.dump:
         header, records = vecstore.read_dump(path)
         if dumpset is None:
-            dumpset = transfer.ContextDumpSet(header.dim, target_lang=args.pivot)
+            dumpset = transfer.ContextDumpSet(header.dim)
         dumpset.add_records(header.lang, records)
     langs = sorted(dumpset.languages)
     if len(langs) < 2:

@@ -41,9 +41,8 @@ class ContextDumpSet:
     repeats within it, the last record wins.
     """
 
-    def __init__(self, dim: int, target_lang: str = "en"):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.target_lang = target_lang
         self._records: dict[str, np.ndarray] = {}
         self._contexts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 

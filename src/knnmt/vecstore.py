@@ -35,7 +35,7 @@ KDS_MAGIC = b"KDS1\x00\x00"
 KMEANS_ITERS = 10
 DEFAULT_TRAIN_SIZE = 65536
 
-_CHUNK_ROWS = 65536
+_CHUNK_ROWS = 8192  # rows per float64 temporary of the chunked scans
 _LANG_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
 
@@ -163,12 +163,18 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else float("inf")
 
 
-def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k of the rows of ``keys`` as (row positions, distances).
+def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int,
+                    spans: tuple[np.ndarray, np.ndarray] | None = None,
+                    ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k of the rows of ``keys`` in ``spans`` as (ids, distances).
 
-    The result is ``_topk(squared_distances(keys, q), arange(n), k)`` bit for
-    bit, but only a shortlist is rescored. Rows are ranked by the float32
+    ``spans`` is a pair of arrays ``(starts, stops)`` of row ranges, by
+    default the one range of every row; ``ids`` maps a row to the id
+    returned for it, by default the row itself. With ``rows`` the rows of
+    the spans in order, the result is
+    ``_topk(squared_distances(keys[rows], q), ids[rows], k)`` bit for bit, so
+    ties break toward the lower id, but only a shortlist is gathered and
+    rescored. Each span is ranked where it lies by the float32
     ``approx = norms - 2 keys @ float32(q)``, which estimates
     ``a = |k|^2 - 2 k.q = |k - q|^2 - |q|^2``. Let d be the dimension,
     u = 2^-24, gamma_n = n u / (1 - n u), and K and Q upper bounds on the
@@ -193,6 +199,12 @@ def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray,
     """
     q = np.asarray(q, dtype=np.float64)
     n, d = keys.shape
+    if spans is not None:
+        starts, stops = spans
+        slices = list(map(slice, starts.tolist(), stops.tolist()))
+        ends = np.cumsum(stops - starts)  # where each span ends in the ranking
+        n = int(ends[-1])
+        norms = np.concatenate([norms[s] for s in slices])
     rows = None
     if k < n:
         knorm = np.sqrt(float(norms.max()) * (1 + 2 * _gamma(d, _U32)))
@@ -201,16 +213,21 @@ def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray,
             bound = (_gamma(d + 3, _U32) * (knorm * knorm + 2 * knorm * qnorm)
                      + _gamma(d + 3, _U64) * (knorm + qnorm) ** 2
                      + (d + 1) * (3 + knorm) * 2.0 ** -149)
-            approx = keys @ q.astype(np.float32)
+            q32 = q.astype(np.float32)
+            if spans is None:
+                approx = keys @ q32
+            else:  # ndarray.dot: the same sgemv as @, with less overhead per small slice
+                approx = np.concatenate([keys[s].dot(q32) for s in slices])
             approx *= -2.0
             approx += norms
             limit = float(np.partition(approx, k - 1)[k - 1]) + 2 * bound
             limit = np.nextafter(np.float32(limit), np.float32(np.inf))  # rounded up
-            rows = np.flatnonzero(approx <= limit)
-            keys = keys[rows]
+            rows = np.flatnonzero(approx <= limit)  # positions in the ranking
     if rows is None:  # the plain exact scan
         rows = np.arange(n, dtype=np.int64)
-    return _topk(squared_distances(keys, q), rows, k)
+    if spans is not None:  # from positions in the ranking to rows of keys
+        rows += (stops - ends)[np.searchsorted(ends, rows, side="right")]
+    return _topk(squared_distances(keys[rows], q), rows if ids is None else ids[rows], k)
 
 
 class ExactScanIndex:
@@ -238,12 +255,18 @@ class CellProbeIndex:
 
     Centroids start from the first ``n_cells`` distinct entries and are
     refined with a fixed number of Lloyd iterations over a deterministic
-    prefix subsample, trading cluster quality for reproducibility. A query
-    scans only the ``n_probe`` cells whose centroids are closest; probing
-    every cell reproduces the exact scan, tie-breaks included. The probed
-    entries go through the same certified float32 shortlist as
-    ``ExactScanIndex`` (``_certified_topk``), so the result equals a float64
-    scan of every probed entry.
+    prefix subsample, trading cluster quality for reproducibility. The
+    cells are held as one CSR pair: ``_order`` lists the entry ids cell by
+    cell, in entry order within a cell, and cell c holds
+    ``_order[_bounds[c]:_bounds[c + 1]]``. A query scans only the
+    ``n_probe`` cells whose centroids are closest, ties by cell id, or more
+    until they hold k entries; probing every cell reproduces the exact scan,
+    tie-breaks included. Each probed cell is one contiguous slice of
+    ``_cell_keys``, the keys in ``_order``, which the first search copies
+    with their norms; ``_keys`` stays the store's keys. The probed slices go
+    through the same certified float32 shortlist as ``ExactScanIndex``
+    (``_certified_topk``), so the result equals a float64 scan of every
+    probed entry, ties broken by entry id.
     """
 
     kind = "cell-probe"
@@ -253,31 +276,30 @@ class CellProbeIndex:
         if n_cells < 1 or n_probe < 1:
             raise ValueError("n_cells and n_probe must be positive")
         self._keys = keys
-        self._norms = None  # on the first search, as in ExactScanIndex
         self.n_probe = n_probe
         centroids = _initial_centroids(keys, n_cells)
         centroids = _refine_centroids(centroids, keys[:max(train_size, 1)])
         self.centroids = centroids
         self.n_cells = centroids.shape[0]
         assign = _assign_cells(keys, centroids)
-        order = np.argsort(assign, kind="stable")
-        bounds = np.searchsorted(assign[order], np.arange(self.n_cells + 1))
-        self._cells = [order[bounds[c]:bounds[c + 1]] for c in range(self.n_cells)]
+        self._order = np.argsort(assign, kind="stable")
+        self._bounds = np.searchsorted(assign[self._order], np.arange(self.n_cells + 1))
+        self._sizes = np.diff(self._bounds)
+        # on the first search, as ExactScanIndex's norms: an unsearched store holds one key set
+        self._cell_keys = None
+        self._cell_norms = None
 
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         cdists = squared_distances(self.centroids, np.asarray(q, dtype=np.float64))
-        cell_order = np.lexsort((np.arange(self.n_cells), cdists))
-        probe = self.n_probe
-        while True:
-            candidates = np.concatenate([self._cells[c] for c in cell_order[:probe]])
-            if candidates.size >= k or probe >= self.n_cells:
-                break
-            probe += 1  # expand until enough candidates to honor k
-        candidates = np.sort(candidates)  # ascending, so row order breaks ties as entry order
-        if self._norms is None:
-            self._norms = _row_norms(self._keys)
-        rows, dists = _certified_topk(self._keys[candidates], self._norms[candidates], q, k)
-        return candidates[rows], dists
+        cells = np.argsort(cdists, kind="stable")  # closest first, ties by cell id
+        # the n_probe closest cells, expanded until they hold k entries
+        enough = int(np.searchsorted(np.cumsum(self._sizes[cells]), k)) + 1
+        cells = cells[:min(max(self.n_probe, enough), self.n_cells)]
+        if self._cell_keys is None:
+            self._cell_keys = self._keys[self._order]
+            self._cell_norms = _row_norms(self._keys)[self._order]
+        return _certified_topk(self._cell_keys, self._cell_norms, q, k,
+                               (self._bounds[cells], self._bounds[cells + 1]), self._order)
 
 
 def _initial_centroids(keys: np.ndarray, n_cells: int) -> np.ndarray:
@@ -294,11 +316,10 @@ def _initial_centroids(keys: np.ndarray, n_cells: int) -> np.ndarray:
 
 
 def _refine_centroids(centroids: np.ndarray, train: np.ndarray) -> np.ndarray:
-    train64 = train.astype(np.float64)
     for _ in range(KMEANS_ITERS):
-        assign = _assign_cells(train64, centroids)
+        assign = _assign_cells(train, centroids)
         for c in range(centroids.shape[0]):
-            members = train64[assign == c]
+            members = train[assign == c].astype(np.float64)  # no float64 copy of all of train
             if members.size:  # empty cells keep their previous centroid
                 centroids[c] = members.mean(axis=0)
     return centroids
@@ -331,9 +352,10 @@ class Datastore:
     index is built from ``index_spec`` on the first access to ``index``,
     which ``query`` makes, so building, merging, mapping or saving a store
     runs no k-means. ``read_datastore`` returns a store whose index is not
-    built yet; ``load_datastore`` builds it before returning. Neither the
-    index nor its row norms are built under a lock; the program searches a
-    store from one thread.
+    built yet; ``load_datastore`` builds it (k-means) before returning. The
+    index's first search adds its row norms and, for a cell-probe index,
+    its cell-ordered copy of the keys. None of these is built under a lock;
+    the program searches a store from one thread.
     """
 
     def __init__(self, rows: np.ndarray, vocab_size: int,
@@ -691,10 +713,11 @@ def read_datastore(path: str | os.PathLike) -> Datastore:
 def load_datastore(path: str | os.PathLike) -> Datastore:
     """``read_datastore``, then build the search index, deterministically, before returning.
 
-    KDS1 does not keep the index, so a cell-probe store runs k-means here;
-    it is done on load, not on the first search, so that the first query
-    after a load costs no more than the next. The checks and errors are
-    ``read_datastore``'s.
+    KDS1 does not keep the index, so a cell-probe store runs k-means here,
+    on load rather than on the first search. The first search still adds
+    the index's row norms and, for a cell-probe index, its cell-ordered key
+    copy: a store that is loaded and never searched holds no second set of
+    keys. The checks and errors are ``read_datastore``'s.
     """
     store = read_datastore(path)
     store.index  # noqa: B018 - built now; see above

@@ -144,6 +144,14 @@ class TestFit:
         fitted = fit_linear_map(PairedContexts(rows_src=x, rows_tgt=x @ truth.T))
         assert fitted.residual == pytest.approx(0.0, abs=1e-8)
 
+    def test_residual_is_the_plain_sum_of_squares(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(300, 16))
+        y = x @ rng.normal(size=(16, 16)).T + rng.normal(size=(300, 16))
+        fitted = fit_linear_map(PairedContexts(rows_src=x, rows_tgt=y))
+        s = fitted.matrix.T
+        assert fitted.residual == float(np.sum((y - x @ s) ** 2))
+
     def test_residual_nonincreasing_for_nested_exact_sets(self):
         rng = np.random.default_rng(4)
         truth = rng.normal(size=(8, 8))

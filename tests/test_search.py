@@ -35,11 +35,11 @@ def probed_entries(index, q, k):
     """The entries a cell-probe search scans: the closest cells, expanded to hold k."""
     cdists = squared_distances(index.centroids, q)
     order = np.lexsort((np.arange(index.n_cells), cdists))
+    cells = [index._order[index._bounds[c]:index._bounds[c + 1]] for c in order]
     probe = index.n_probe
-    while (sum(index._cells[c].size for c in order[:probe]) < k
-           and probe < index.n_cells):
+    while sum(cell.size for cell in cells[:probe]) < k and probe < index.n_cells:
         probe += 1
-    return np.sort(np.concatenate([index._cells[c] for c in order[:probe]]))
+    return np.sort(np.concatenate(cells[:probe]))
 
 
 def assert_same(got, want):

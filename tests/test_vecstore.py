@@ -206,6 +206,19 @@ class TestCellProbe:
         assert [nb.entry_index for nb in query(a, q, 7)] == \
             [nb.entry_index for nb in query(b, q, 7)]
 
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256, 1000, 65536])
+    def test_k_means_does_not_depend_on_the_chunk_size(self, monkeypatch, chunk_rows):
+        """Cells and centroids are the same bits whatever rows each float64 temporary holds."""
+        rng = np.random.default_rng(6)
+        keys = make_store(rng.normal(size=(1000, 16)).astype(np.float32)).keys
+        start = vecstore._initial_centroids(keys, 12)
+        want = vecstore._refine_centroids(start.copy(), keys)
+        want_cells = vecstore._assign_cells(keys, want)
+        monkeypatch.setattr(vecstore, "_CHUNK_ROWS", chunk_rows)  # 7 does not divide 1000
+        centroids = vecstore._refine_centroids(start.copy(), keys)
+        assert np.array_equal(centroids, want)
+        assert np.array_equal(vecstore._assign_cells(keys, centroids), want_cells)
+
 
 class TestLazyIndex:
     @pytest.fixture
@@ -257,6 +270,20 @@ class TestLazyIndex:
         assert len(builds) == 1
         query(store, rng.normal(size=8), 5)
         assert len(builds) == 1
+
+    def test_first_query_copies_the_keys_in_cell_order_once(self, tmp_path):
+        rng = np.random.default_rng(14)
+        save_datastore(self.cell_probe_store(rng), tmp_path / "s.kds")
+        store = load_datastore(tmp_path / "s.kds")
+        index = store.index
+        assert index._cell_keys is None and index._cell_norms is None
+        query(store, rng.normal(size=8), 5)
+        copy = index._cell_keys
+        assert np.array_equal(copy, store.keys[index._order])
+        for _ in range(3):
+            query(store, rng.normal(size=8), 5)
+            assert index._cell_keys is copy
+        assert index._keys is store.keys  # the entry-ordered keys stay the index's keys
 
     @pytest.mark.parametrize("params", [{"n_cells": 0}, {"n_probe": 0}, {"n_cells": -1}])
     def test_bad_cell_probe_spec_rejected_at_build(self, params):
