@@ -25,7 +25,6 @@ from .decode import (
 )
 from .features import (
     Corpus,
-    PairFeatures,
     RegressionReport,
     multi_parallel_overlap,
     pair_features_table,

@@ -369,7 +369,7 @@ def cmd_analyze(args) -> dict:
         if dumpset is None:
             dumpset = transfer.ContextDumpSet(header.dim)
         dumpset.add_records(header.lang, records)
-    langs = sorted(dumpset.languages)
+    langs = list(dumpset.languages)
     if len(langs) < 2:
         raise EmptyInputError("analyze needs dumps for at least two languages")
     vocab = Vocabulary.from_file(args.vocab)
@@ -383,7 +383,7 @@ def cmd_analyze(args) -> dict:
     if sorted(corpora) != langs:
         raise ValueError(f"--dump languages {langs} and --corpus languages "
                          f"{sorted(corpora)} differ")
-    sims = transfer.similarity_matrix(dumpset, langs)
+    sims = transfer.similarity_matrix(dumpset)
     bleu_table = transfer.BleuTable.from_file(args.bleu_table)
     rtp_values = {lang: transfer.rtp(lang, sims, bleu_table, langs, args.pivot)
                   for lang in langs}
@@ -393,10 +393,9 @@ def cmd_analyze(args) -> dict:
 
     distances = (features.load_distance_table(args.distances)
                  if args.distances else None)
-    table = features.pair_features_table(corpora, len(vocab), distances)
-    regression_pairs = [(pf, sims.value(l1, l2)) for (l1, l2), pf in sorted(table.items())]
-    x, y, names = features.design_matrix(regression_pairs)
-    report = features.predict_xsim_loo(regression_pairs,
+    pairs, x, names = features.pair_features_table(corpora, len(vocab), distances)
+    y = np.array([sims.value(lang1, lang2) for lang1, lang2 in pairs])
+    report = features.predict_xsim_loo(pairs, x, y, names,
                                        n_shuffles=args.shuffles, seed=args.seed)
     summary = {
         "languages": langs,
@@ -418,9 +417,9 @@ def cmd_analyze(args) -> dict:
             f.write(f"{lang}\t{rtp_values[lang]:.6f}\t{deltas[lang]:.6f}\n")
     with open(os.path.join(args.out, "features.tsv"), "w", encoding="utf-8") as f:
         f.write("lang1\tlang2\t" + "\t".join(names) + "\txsim\n")
-        for (pf, _), row, target in zip(regression_pairs, x, y):
+        for (lang1, lang2), row, target in zip(pairs, x, y):
             values = "\t".join(f"{v:.6f}" for v in row)
-            f.write(f"{pf.lang1}\t{pf.lang2}\t{values}\t{target:.6f}\n")
+            f.write(f"{lang1}\t{lang2}\t{values}\t{target:.6f}\n")
     with open(os.path.join(args.out, "analysis.json"), "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -122,32 +122,6 @@ def tgt_ngram_overlap(c1: Corpus, c2: Corpus) -> float:
                      for count in Counter(sentence).values()))
 
 
-@dataclass(frozen=True)
-class PairFeatures:
-    """The five dataset features (plus loaded linguistic distances) for a pair."""
-
-    lang1: str
-    lang2: str
-    size_ratio: float
-    vocab_occupancy_ratio: float
-    src_subword_overlap: float
-    multi_parallel_overlap: float
-    tgt_ngram_overlap: float
-    linguistic: dict[str, float] = field(default_factory=dict)
-
-    def feature_vector(self, names: Sequence[str]) -> np.ndarray:
-        out = []
-        for name in names:
-            if name in DATASET_FEATURES:
-                out.append(getattr(self, name))
-            elif name in self.linguistic:
-                out.append(self.linguistic[name])
-            else:
-                raise IncompleteTableError(
-                    f"pair ({self.lang1}, {self.lang2}) lacks feature {name!r}")
-        return np.asarray(out, dtype=np.float64)
-
-
 def load_distance_table(path: str | os.PathLike) -> dict[tuple[str, str], dict[str, float]]:
     """Linguistic distances per unordered pair, TSV columns per LINGUISTIC_FEATURES.
 
@@ -174,44 +148,34 @@ def load_distance_table(path: str | os.PathLike) -> dict[tuple[str, str], dict[s
 
 def pair_features_table(corpora: dict[str, Corpus], vocab_size: int,
                         distances: dict[tuple[str, str], dict[str, float]] | None = None
-                        ) -> dict[tuple[str, str], PairFeatures]:
-    """All unordered pair features, with the target unigram overlap min-max scaled.
+                        ) -> tuple[list[tuple[str, str]], np.ndarray, tuple[str, ...]]:
+    """The sorted language pairs, one float64 feature row per pair, and the column names.
 
-    A degenerate pair set (all raw overlap values equal) scales to 1.0 when
-    the shared value is positive and 0.0 otherwise.
+    The columns are DATASET_FEATURES, then LINGUISTIC_FEATURES when
+    ``distances`` is given; a pair it lacks raises IncompleteTableError. The
+    target unigram overlap is min-max scaled over the pair set; a degenerate
+    set (all raw values equal) scales to 1.0 when the shared value is
+    positive and 0.0 otherwise.
     """
     langs = sorted(corpora)
     if len(langs) < 2:
         raise InsufficientDataError("need at least two corpora")
     pairs = [(a, b) for i, a in enumerate(langs) for b in langs[i + 1:]]
-    raw_overlap = {p: tgt_ngram_overlap(corpora[p[0]], corpora[p[1]]) for p in pairs}
-    lo = min(raw_overlap.values())
-    hi = max(raw_overlap.values())
-    table = {}
-    for lang1, lang2 in pairs:
-        c1, c2 = corpora[lang1], corpora[lang2]
-        raw = raw_overlap[(lang1, lang2)]
-        if hi > lo:
-            scaled = (raw - lo) / (hi - lo)
-        else:
-            scaled = 1.0 if raw > 0 else 0.0
-        ling = {}
+    names = DATASET_FEATURES + (LINGUISTIC_FEATURES if distances is not None else ())
+    x = np.empty((len(pairs), len(names)))
+    for row, pair in zip(x, pairs):
         if distances is not None:
-            key = tuple(sorted((lang1, lang2)))
-            if key not in distances:
-                raise IncompleteTableError(f"distance table lacks pair {key}")
-            ling = dict(distances[key])
-        table[(lang1, lang2)] = PairFeatures(
-            lang1=lang1,
-            lang2=lang2,
-            size_ratio=size_ratio(c1, c2),
-            vocab_occupancy_ratio=vocab_occupancy_ratio(c1, c2, vocab_size),
-            src_subword_overlap=src_subword_overlap(c1, c2),
-            multi_parallel_overlap=multi_parallel_overlap(c1, c2),
-            tgt_ngram_overlap=scaled,
-            linguistic=ling,
-        )
-    return table
+            if pair not in distances:
+                raise IncompleteTableError(f"distance table lacks pair {pair}")
+            row[5:] = [distances[pair][f] for f in LINGUISTIC_FEATURES]
+        c1, c2 = corpora[pair[0]], corpora[pair[1]]
+        row[:5] = (size_ratio(c1, c2), vocab_occupancy_ratio(c1, c2, vocab_size),
+                   src_subword_overlap(c1, c2), multi_parallel_overlap(c1, c2),
+                   tgt_ngram_overlap(c1, c2))
+    overlap = x[:, 4]  # a view: the raw overlap is scaled in place
+    lo, hi = overlap.min(), overlap.max()
+    overlap[:] = (overlap - lo) / (hi - lo) if hi > lo else overlap > 0
+    return pairs, x, names
 
 
 @dataclass(frozen=True)
@@ -254,19 +218,6 @@ def _fit_with_fallback(x: np.ndarray, y: np.ndarray,
         return fit_linear(x, y, feature_names, ridge=ridge)
 
 
-def design_matrix(pairs: Sequence[tuple[PairFeatures, float]]
-                  ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Stack pair features into (X, y) and name the columns: the dataset features, then
-    each linguistic distance that every pair has. ``analyze`` writes them to features.tsv."""
-    if not pairs:
-        raise EmptyInputError("no feature pairs given")
-    names = list(DATASET_FEATURES)
-    names += [f for f in LINGUISTIC_FEATURES if all(f in pf.linguistic for pf, _ in pairs)]
-    x = np.vstack([pf.feature_vector(names) for pf, _ in pairs])
-    y = np.asarray([target for _, target in pairs], dtype=np.float64)
-    return x, y, tuple(names)
-
-
 @dataclass(frozen=True)
 class RegressionReport:
     """Leave-one-out results plus coefficients and permutation importances."""
@@ -280,33 +231,32 @@ class RegressionReport:
     importances: dict[str, tuple[float, float]]
 
 
-def predict_xsim_loo(pairs: Sequence[tuple[PairFeatures, float]],
-                     languages: Sequence[str] | None = None, *,
-                     n_shuffles: int = 50, seed: int = 0) -> RegressionReport:
+def predict_xsim_loo(pairs: Sequence[tuple[str, str]], x: np.ndarray, y: np.ndarray,
+                     names: Sequence[str], *, n_shuffles: int = 50,
+                     seed: int = 0) -> RegressionReport:
     """Leave-one-language-out linear regression of similarity targets.
 
-    Each fold holds out every pair involving one language and fits on the
-    rest. The mean MAE pools the per-pair errors of all folds; each fold's
-    own MAE is reported beside it.
+    Row i of ``x`` and ``y`` belong to the language pair ``pairs[i]``, and
+    ``names`` names the columns of ``x``. There is one fold per language, in
+    sorted order: it holds out every pair involving that language and fits
+    on the rest. The mean MAE pools the per-pair errors of all folds; each
+    fold's own MAE is reported beside it.
     Coefficients and permutation importances come from a final fit on all
     pairs.
     """
-    if languages is None:
-        languages = sorted({code for pf, _ in pairs for code in (pf.lang1, pf.lang2)})
+    languages = sorted({code for pair in pairs for code in pair})
     if len(languages) < 3:
         raise InsufficientDataError("leave-one-out needs at least 3 languages")
-    x, y, names = design_matrix(pairs)
+    names = tuple(names)
     fold_mae = []
     pooled_errors: list[float] = []
     for held_out in languages:
-        test_idx = [i for i, (pf, _) in enumerate(pairs)
-                    if held_out in (pf.lang1, pf.lang2)]
-        train_idx = [i for i in range(len(pairs)) if i not in set(test_idx)]
-        if not test_idx or not train_idx:
+        test = np.array([held_out in pair for pair in pairs])
+        if test.all():
             raise InsufficientDataError(
-                f"fold for {held_out!r} leaves an empty train or test set")
-        model = _fit_with_fallback(x[train_idx], y[train_idx], names)
-        errors = np.abs(model.predict(x[test_idx]) - y[test_idx])
+                f"fold for {held_out!r} leaves an empty train set")
+        model = _fit_with_fallback(x[~test], y[~test], names)
+        errors = np.abs(model.predict(x[test]) - y[test])
         fold_mae.append(float(errors.mean()))
         pooled_errors.extend(errors.tolist())
     mean_mae = float(np.mean(pooled_errors))

@@ -26,6 +26,7 @@ class ToySpec:
     Every language code, the target's included, must pass ``check_lang_code``
     (MalformedDumpError), and no code may appear twice (ValueError): they
     name the dataset's files, and the binary writers take the same codes.
+    A negative ``n_test`` raises ValueError.
     """
 
     langs: tuple[str, ...]
@@ -44,6 +45,8 @@ class ToySpec:
             check_lang_code(code)
         if len(set(codes)) < len(codes):
             raise ValueError(f"a language code is given twice: {', '.join(codes)}")
+        if self.n_test < 0:
+            raise ValueError(f"n_test must be at least 0, got {self.n_test}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def generate(spec: ToySpec) -> ToyData:
         return sentences
 
     target_pool = sample_sentences(spec.n_train)
-    test_pool = sample_sentences(max(spec.n_test, 0))
+    test_pool = sample_sentences(spec.n_test)
     permutations = {
         lang: {words[i]: words[j]
                for i, j in enumerate(rng.permutation(spec.n_words))}

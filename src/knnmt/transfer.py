@@ -37,36 +37,39 @@ class ContextDumpSet:
 
     Sentences with the same sentence id across languages refer to the same
     target sentence; within a sentence, vectors are keyed by decoding
-    timestep. Each language holds one dump; when a (sentence, timestep) pair
-    repeats within it, the last record wins.
+    timestep. Each language holds one dump, kept as its sorted
+    ``(sid << 16) | ts`` keys and a read-only float32 copy of its vectors in
+    key order; when a (sentence, timestep) pair repeats within a dump, the
+    last record wins.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._records: dict[str, np.ndarray] = {}
         self._contexts: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def languages(self) -> tuple[str, ...]:
-        return tuple(self._records)
+        """The languages with a dump, sorted."""
+        return tuple(sorted(self._contexts))
 
     def add_records(self, lang: str, records: np.ndarray) -> None:
         """Add one language's ``record_dtype`` rows; a second add for it raises ValueError."""
         if records.dtype != record_dtype(self.dim):
             raise DimensionMismatchError(
                 f"records have dtype {records.dtype}, dump set declares d={self.dim}")
-        if lang in self._records:
+        if lang in self._contexts:
             raise ValueError(f"duplicate dump for language {lang!r}")
-        self._records[lang] = records
-        self._contexts[lang] = context_rows(records["sid"], records["ts"])
+        keys, rows = context_rows(records["sid"], records["ts"])
+        vecs = records["vec"][rows]
+        keys.flags.writeable = vecs.flags.writeable = False
+        self._contexts[lang] = keys, vecs
 
     def contexts(self, lang: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted ``(sid << 16) | ts`` keys and the float32 vector of each."""
+        """Sorted ``(sid << 16) | ts`` keys and the float32 vector of each, read-only."""
         try:
-            keys, rows = self._contexts[lang]
+            return self._contexts[lang]
         except KeyError:
             raise ValueError(f"no dump loaded for language {lang!r}") from None
-        return keys, self._records[lang]["vec"][rows]
 
 
 def xsim(dumps: ContextDumpSet, lang1: str, lang2: str) -> float:
@@ -121,10 +124,9 @@ class SimilarityMatrix:
         return float(self.values[i, j])
 
 
-def similarity_matrix(dumps: ContextDumpSet,
-                      langs: Sequence[str] | None = None) -> SimilarityMatrix:
-    """xsim for every language pair; the diagonal is 1 by definition."""
-    codes = tuple(langs) if langs is not None else dumps.languages
+def similarity_matrix(dumps: ContextDumpSet) -> SimilarityMatrix:
+    """xsim for every pair of the dumps' languages, in sorted order; the diagonal is 1."""
+    codes = dumps.languages
     n = len(codes)
     values = np.eye(n)
     for i in range(n):

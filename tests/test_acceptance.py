@@ -14,7 +14,7 @@ import pytest
 from knnmt import cli
 from knnmt.align import PairedContexts, fit_linear_map, map_datastore
 from knnmt.decode import interpolate, knn_distribution
-from knnmt.features import PairFeatures, permutation_importance, predict_xsim_loo
+from knnmt.features import permutation_importance, predict_xsim_loo
 from knnmt.mteval import bleu
 from knnmt.transfer import (
     BleuTable,
@@ -276,24 +276,24 @@ def test_criterion_9_bleu_formula():
 
 
 def synthetic_feature_pairs(rng, n_langs, targets_fn):
+    """Random features per language pair and a target from each row: the
+    ``(pairs, x, y, names)`` predict_xsim_loo takes."""
     names = ("size_ratio", "vocab_occupancy_ratio", "src_subword_overlap",
              "multi_parallel_overlap", "tgt_ngram_overlap")
     langs = [f"l{i}" for i in range(n_langs)]
-    pairs = []
-    for i in range(n_langs):
-        for j in range(i + 1, n_langs):
-            feats = dict(zip(names, rng.uniform(0, 1, size=5)))
-            pf = PairFeatures(lang1=langs[i], lang2=langs[j], **feats)
-            pairs.append((pf, targets_fn(pf.feature_vector(names))))
-    return pairs, langs
+    pairs = [(langs[i], langs[j]) for i in range(n_langs) for j in range(i + 1, n_langs)]
+    x = np.array([rng.uniform(0, 1, size=5) for _ in pairs])
+    y = np.array([targets_fn(row) for row in x])
+    return pairs, x, y, names
 
 
 @criterion(10, "regression protocol: exact fit, importance separation, beats noise")
 def test_criterion_10_regression_protocol():
     rng = np.random.default_rng(1010)
     coef = np.array([0.4, -0.3, 0.6, 0.2, -0.5])
-    pairs, langs = synthetic_feature_pairs(rng, 8, lambda x: float(x @ coef))
-    report = predict_xsim_loo(pairs, langs)
+    pairs, features, targets, names = synthetic_feature_pairs(
+        rng, 8, lambda x: float(x @ coef))
+    report = predict_xsim_loo(pairs, features, targets, names)
     assert report.mean_mae < 1e-8
 
     from knnmt.features import fit_linear
@@ -307,11 +307,9 @@ def test_criterion_10_regression_protocol():
 
     # same targets, features replaced by fresh noise: the baseline of the
     # published protocol's "noise" row
-    noise_features, _ = synthetic_feature_pairs(np.random.default_rng(2020), 8,
-                                                lambda x: 0.0)
-    noise_pairs = [(noise_pf, target)
-                   for (noise_pf, _), (_, target) in zip(noise_features, pairs)]
-    noise_report = predict_xsim_loo(noise_pairs, langs)
+    _, noise_x, _, _ = synthetic_feature_pairs(np.random.default_rng(2020), 8,
+                                               lambda x: 0.0)
+    noise_report = predict_xsim_loo(pairs, noise_x, targets, names)
     assert report.mean_mae < noise_report.mean_mae
 
 

@@ -83,7 +83,8 @@ class TestGenToy:
         (["--langs", "aa", "--tgt", "../en"], "invalid language code: '../en'"),
         (["--langs", "aa,bb,aa"], "given twice"),
         (["--langs", "aa", "--tgt", "aa"], "given twice"),
-    ], ids=["bad-code", "bad-target", "repeated", "source-is-target"])
+        (["--langs", "aa", "--test", "-3"], "n_test must be at least 0, got -3"),
+    ], ids=["bad-code", "bad-target", "repeated", "source-is-target", "negative-test-count"])
     def test_bad_or_repeated_language_exits_2(self, tmp_path, capsys, flags, message):
         out = tmp_path / "toy"
         assert run("gen-toy", "--out", out, *flags) == 2
@@ -490,8 +491,24 @@ class TestAnalyze:
         # blake2b-64 digests of this fixture's reports; a change to any report byte
         # must update them on purpose
         expected = {"xsim.tsv": "babfbcb082c8e6b3", "rtp.tsv": "32d45500ae4f89e6",
-                    "features.tsv": "1184aff07ea5f460"}
+                    "features.tsv": "1184aff07ea5f460", "analysis.json": "edec93c58f4e2fb4"}
         assert {name: hashlib.blake2b((analyze_out / name).read_bytes(),
+                                      digest_size=8).hexdigest()
+                for name in expected} == expected
+
+    def test_report_bytes_without_distances_are_pinned(self, toy_dir, analyze_out, tmp_path):
+        out = tmp_path / "reports"
+        argv = ["analyze", "--bleu-table", toy_dir / "bleu-table.tsv",
+                "--vocab", toy_dir / "vocab.txt",
+                "--out", out, "--shuffles", "10", "--seed", "3"]
+        for lang in ("aa", "bb", "cc"):
+            argv += ["--dump", analyze_out.parent / f"{lang}.rdmp",
+                     "--corpus", lang, toy_dir / f"{lang}-en.train.{lang}",
+                     toy_dir / f"{lang}-en.train.en"]
+        assert run(*argv) == 0
+        # the five dataset columns only
+        expected = {"features.tsv": "41e686d1c2147e2f", "analysis.json": "2d36d18786a18548"}
+        assert {name: hashlib.blake2b((out / name).read_bytes(),
                                       digest_size=8).hexdigest()
                 for name in expected} == expected
 

@@ -10,10 +10,10 @@ from knnmt.errors import (
     SingularSystemError,
 )
 from knnmt.features import (
+    DATASET_FEATURES,
+    LINGUISTIC_FEATURES,
     Corpus,
     LinearModel,
-    PairFeatures,
-    design_matrix,
     fit_linear,
     load_distance_table,
     multi_parallel_overlap,
@@ -188,6 +188,11 @@ class TestTgtNgramOverlap:
         assert c.target_set is c.target_set
 
 
+def rows_by_name(pairs, x, names):
+    """{pair: {feature name: value}}, to read one feature of one pair of a table."""
+    return {pair: dict(zip(names, row)) for pair, row in zip(pairs, x)}
+
+
 class TestPairFeaturesTable:
     def make_corpora(self):
         rng = np.random.default_rng(1)
@@ -204,26 +209,22 @@ class TestPairFeaturesTable:
 
     def test_identical_targets_scale_to_one(self):
         corpora = self.make_corpora()
-        table = pair_features_table(corpora, vocab_size=20)
-        values = [pf.tgt_ngram_overlap for pf in table.values()]
+        table = rows_by_name(*pair_features_table(corpora, vocab_size=20))
+        values = [row["tgt_ngram_overlap"] for row in table.values()]
         assert max(values) == 1.0
         assert min(values) == 0.0
 
     def test_all_features_within_bounds_and_symmetric(self):
         corpora = self.make_corpora()
-        table = pair_features_table(corpora, vocab_size=20)
-        for pf in table.values():
-            vec = pf.feature_vector(["size_ratio", "vocab_occupancy_ratio",
-                                     "src_subword_overlap",
-                                     "multi_parallel_overlap",
-                                     "tgt_ngram_overlap"])
+        _, x, _ = pair_features_table(corpora, vocab_size=20)
+        for vec in x:
             assert ((vec >= 0.0) & (vec <= 1.0)).all()
 
     def test_degenerate_pair_set_scales_to_one(self):
         t = [[7, 8]]
         corpora = {"aa": corpus("aa", [[3]], t), "bb": corpus("bb", [[4]], t)}
-        table = pair_features_table(corpora, vocab_size=10)
-        assert table[("aa", "bb")].tgt_ngram_overlap == 1.0
+        table = rows_by_name(*pair_features_table(corpora, vocab_size=10))
+        assert table[("aa", "bb")]["tgt_ngram_overlap"] == 1.0
 
     def test_distances_attached(self):
         corpora = self.make_corpora()
@@ -232,42 +233,76 @@ class TestPairFeaturesTable:
                                          "syntactic", "phonological")}
             for key in (("aa", "bb"), ("aa", "cc"), ("bb", "cc"))
         }
-        table = pair_features_table(corpora, vocab_size=20, distances=distances)
-        assert table[("aa", "bb")].linguistic["genetic"] == 0.5
+        table = rows_by_name(*pair_features_table(corpora, vocab_size=20,
+                                                  distances=distances))
+        assert table[("aa", "bb")]["genetic"] == 0.5
 
     def test_missing_distance_pair_raises(self):
         corpora = self.make_corpora()
         with pytest.raises(IncompleteTableError):
             pair_features_table(corpora, vocab_size=20, distances={})
 
+    @pytest.mark.parametrize("with_distances", [False, True], ids=["dataset", "distances"])
+    def test_rows_are_the_feature_functions_bit_for_bit(self, with_distances):
+        rng = np.random.default_rng(13)
+        pool = [[int(t) for t in rng.integers(3, 20, size=rng.integers(2, 6))]
+                for _ in range(8)]
+        corpora = {}
+        for lang in ("dd", "aa", "cc", "bb"):  # out of order: the output is sorted
+            targets = [pool[i] for i in rng.choice(8, size=rng.integers(3, 8), replace=False)]
+            sources = [[int(t) for t in rng.integers(3, 20, size=4)] for _ in targets]
+            corpora[lang] = corpus(lang, sources, targets)
+        langs = sorted(corpora)
+        expected_pairs = [(a, b) for i, a in enumerate(langs) for b in langs[i + 1:]]
+        distances = None
+        if with_distances:
+            distances = {pair: dict(zip(LINGUISTIC_FEATURES, rng.uniform(0, 1, size=5)))
+                         for pair in expected_pairs}
+        pairs, x, names = pair_features_table(corpora, 20, distances)
+        assert pairs == expected_pairs
+        assert names == DATASET_FEATURES + (LINGUISTIC_FEATURES if with_distances else ())
+        assert x.dtype == np.float64 and x.shape == (len(pairs), len(names))
+        raw = [tgt_ngram_overlap(corpora[a], corpora[b]) for a, b in pairs]
+        lo, hi = min(raw), max(raw)
+        assert hi > lo
+        for (a, b), row, overlap in zip(pairs, x, raw):
+            c1, c2 = corpora[a], corpora[b]
+            expected = [size_ratio(c1, c2), vocab_occupancy_ratio(c1, c2, 20),
+                        src_subword_overlap(c1, c2), multi_parallel_overlap(c1, c2),
+                        (overlap - lo) / (hi - lo)]
+            if with_distances:
+                expected += [distances[(a, b)][f] for f in LINGUISTIC_FEATURES]
+            assert row.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
 
 def synthetic_pairs(rng, n_langs, coef=None, noise=0.0, targets=None):
-    """Random PairFeatures per language pair with an optional linear target."""
-    names = ["size_ratio", "vocab_occupancy_ratio", "src_subword_overlap",
-             "multi_parallel_overlap", "tgt_ngram_overlap"]
+    """Random features per language pair with an optional linear target.
+
+    Returns ``(pairs, x, y, names)``, predict_xsim_loo's inputs, and the languages.
+    """
     langs = [f"l{i}" for i in range(n_langs)]
-    pairs = []
+    pairs, rows, ys = [], [], []
     idx = 0
     for i in range(n_langs):
         for j in range(i + 1, n_langs):
-            feats = dict(zip(names, rng.uniform(0, 1, size=5)))
-            pf = PairFeatures(lang1=langs[i], lang2=langs[j], **feats)
+            x = rng.uniform(0, 1, size=5)
             if targets is not None:
                 y = targets[idx]
             else:
-                x = pf.feature_vector(names)
                 y = float(x @ coef + noise * rng.normal())
-            pairs.append((pf, y))
+            pairs.append((langs[i], langs[j]))
+            rows.append(x)
+            ys.append(y)
             idx += 1
-    return pairs, langs
+    return (pairs, np.array(rows).reshape(-1, 5), np.array(ys), DATASET_FEATURES), langs
 
 
 class TestLooRegression:
     def test_exact_linear_targets_recovered(self):
         rng = np.random.default_rng(2)
         coef = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
-        pairs, langs = synthetic_pairs(rng, 8, coef=coef)
-        report = predict_xsim_loo(pairs, langs)
+        table, langs = synthetic_pairs(rng, 8, coef=coef)
+        report = predict_xsim_loo(*table)
         assert report.mean_mae < 1e-8
         assert len(report.fold_mae) == 8
 
@@ -275,36 +310,34 @@ class TestLooRegression:
         # mean prediction of U(0,1) targets gives E|U - 0.5| = 0.25
         rng = np.random.default_rng(3)
         n_pairs = 12 * 11 // 2
-        pairs, langs = synthetic_pairs(rng, 12,
+        table, langs = synthetic_pairs(rng, 12,
                                        targets=rng.uniform(0, 1, size=n_pairs))
-        report = predict_xsim_loo(pairs, langs)
+        report = predict_xsim_loo(*table)
         assert 0.25 * 0.8 < report.mean_mae < 0.25 * 1.2
 
     def test_fold_count_equals_language_count(self):
         rng = np.random.default_rng(4)
-        pairs, langs = synthetic_pairs(rng, 5, coef=np.ones(5))
-        report = predict_xsim_loo(pairs, langs)
+        table, langs = synthetic_pairs(rng, 5, coef=np.ones(5))
+        report = predict_xsim_loo(*table)
         assert report.fold_langs == tuple(langs)
         assert len(report.fold_mae) == len(langs)
 
     def test_too_few_languages(self):
         rng = np.random.default_rng(5)
-        pairs, langs = synthetic_pairs(rng, 2, coef=np.ones(5))
+        table, langs = synthetic_pairs(rng, 2, coef=np.ones(5))
         with pytest.raises(InsufficientDataError):
-            predict_xsim_loo(pairs, langs)
+            predict_xsim_loo(*table)
 
     def test_loo_folds_partition_pairs(self):
         rng = np.random.default_rng(7)
-        pairs, langs = synthetic_pairs(rng, 6, coef=np.ones(5))
+        (pairs, _, _, _), langs = synthetic_pairs(rng, 6, coef=np.ones(5))
         seen = {i: 0 for i in range(len(pairs))}
         for held_out in langs:
-            test_idx = [i for i, (pf, _) in enumerate(pairs)
-                        if held_out in (pf.lang1, pf.lang2)]
+            test_idx = [i for i, pair in enumerate(pairs) if held_out in pair]
             train_idx = [i for i in range(len(pairs)) if i not in set(test_idx)]
             assert not set(test_idx) & set(train_idx)
             for i in train_idx:
-                pf = pairs[i][0]
-                assert held_out not in (pf.lang1, pf.lang2)
+                assert held_out not in pairs[i]
             for i in test_idx:
                 seen[i] += 1
         assert all(count == 2 for count in seen.values())
@@ -382,13 +415,3 @@ class TestDistanceTable:
             load_distance_table(path)
         assert repr("bb\taa\t0.5\t0.4\t0.3\t0.2\t0.1") in str(exc.value)  # names the row
 
-
-class TestDesignMatrix:
-    def test_linguistic_columns_only_when_complete(self):
-        rng = np.random.default_rng(12)
-        pairs, _ = synthetic_pairs(rng, 3, coef=np.ones(5))
-        x, y, names = design_matrix(pairs)
-        assert names == ("size_ratio", "vocab_occupancy_ratio",
-                         "src_subword_overlap", "multi_parallel_overlap",
-                         "tgt_ngram_overlap")
-        assert x.shape == (3, 5)

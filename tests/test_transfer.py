@@ -130,6 +130,21 @@ class TestXsim:
         with pytest.raises(ValueError):
             xsim(dumps, "aa", "zz")
 
+    def test_contexts_are_gathered_once_and_read_only(self):
+        dumps = ContextDumpSet(2)
+        # sentence 1 before sentence 0, and timestep 0 of sentence 0 twice
+        dumps.add_records("aa", make_records([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]],
+                                             0, [1, 0, 0, 0], [0, 1, 0, 0]))
+        keys, vecs = dumps.contexts("aa")
+        assert keys.tolist() == [(0 << 16) | 0, (0 << 16) | 1, (1 << 16) | 0]
+        assert vecs.dtype == np.float32
+        assert vecs.tolist() == [[7.0, 8.0], [3.0, 4.0], [1.0, 2.0]]  # the last record wins
+        again = dumps.contexts("aa")
+        assert again[0] is keys and again[1] is vecs
+        assert not keys.flags.writeable and not vecs.flags.writeable
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 0.0
+
 
 class TestSimilarityMatrix:
     def test_builder_sets_unit_diagonal_and_symmetry(self):
@@ -141,6 +156,18 @@ class TestSimilarityMatrix:
         sims = similarity_matrix(dump_from_arrays(4, per_lang))
         assert sims.value("aa", "aa") == 1.0
         assert sims.value("aa", "bb") == sims.value("bb", "aa")
+
+    def test_same_matrix_whatever_the_order_languages_are_added(self):
+        rng = np.random.default_rng(6)
+        per_lang = {
+            lang: {sid: [rng.normal(size=4) for _ in range(3)] for sid in range(5)}
+            for lang in ("aa", "bb", "cc", "dd")
+        }
+        forward = similarity_matrix(dump_from_arrays(4, per_lang))
+        backward = similarity_matrix(dump_from_arrays(
+            4, {lang: per_lang[lang] for lang in ("dd", "bb", "aa", "cc")}))
+        assert forward.langs == backward.langs == ("aa", "bb", "cc", "dd")
+        assert forward.values.tobytes() == backward.values.tobytes()
 
     def test_validation_rejects_asymmetry(self):
         with pytest.raises(ValueError):
