@@ -35,7 +35,7 @@ from .features import (
     tgt_ngram_overlap,
     vocab_occupancy_ratio,
 )
-from .mteval import BleuScore, bleu, delta_bleu
+from .mteval import BleuScore, bleu
 from .transfer import (
     BleuTable,
     ContextDumpSet,
@@ -44,7 +44,6 @@ from .transfer import (
     similarity_matrix,
     spearman,
     xsim,
-    xsim_loss,
 )
 from .vecstore import (
     NEIGHBOR_DTYPE,

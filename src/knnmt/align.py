@@ -22,7 +22,7 @@ from .errors import (
     SingularSystemError,
 )
 from .vecstore import (Datastore, context_rows, _check_end, _check_finite, _lang_bytes,
-                       _read_dim, _read_exact, _read_lang)
+                       _ranges, _read_dim, _read_exact, _read_lang)
 
 KLM_MAGIC = b"KLM1\x00\x00"
 
@@ -80,9 +80,13 @@ def extract_training_pairs(store1: Datastore, store2: Datastore,
 
     ``alignment`` maps sentence ids in store1 to sentence ids in store2 that
     share the same target sentence; ids a store does not hold are skipped.
-    Sentences whose decodes have different lengths are dropped; within a kept
-    sentence, a row pair is emitted for every timestep where both stores hold
-    the same target token. Pairs follow the alignment order, then timesteps.
+    Sentences whose decodes have different lengths or timesteps are dropped;
+    within a kept sentence, a row pair is emitted for every timestep where
+    both stores hold the same target token. Pairs follow the alignment order,
+    then timesteps, and an alignment row given twice is paired twice. No
+    loop runs per sentence: each sentence is one span of a store's sorted
+    context keys (``np.searchsorted``), and the spans of equal length in both
+    stores are expanded into one array of row positions per store.
     """
     for store in (store1, store2):
         if len(store.lang_codes) != 1:
@@ -94,21 +98,18 @@ def extract_training_pairs(store1: Datastore, store2: Datastore,
     keys2, rows2 = context_rows(store2.sentence_ids, store2.timesteps)
     sids = np.array([(a, b) for a, b in alignment if 0 <= a < 2**32 and 0 <= b < 2**32],
                     dtype=np.int64).reshape(-1, 2)
-    spans1 = np.searchsorted(keys1, [sids[:, 0] << 16, (sids[:, 0] + 1) << 16]).T
-    spans2 = np.searchsorted(keys2, [sids[:, 1] << 16, (sids[:, 1] + 1) << 16]).T
-    picks1 = [np.empty(0, dtype=np.int64)]
-    picks2 = [np.empty(0, dtype=np.int64)]
-    for (lo1, hi1), (lo2, hi2) in zip(spans1, spans2):
-        if lo1 == hi1 or lo2 == hi2:  # sentence absent from a store
-            continue
-        # timestep sets must match exactly
-        if not np.array_equal(keys1[lo1:hi1] & 0xFFFF, keys2[lo2:hi2] & 0xFFFF):
-            continue
-        r1, r2 = rows1[lo1:hi1], rows2[lo2:hi2]
-        same = store1.token_ids[r1] == store2.token_ids[r2]
-        picks1.append(r1[same])
-        picks2.append(r2[same])
-    src, tgt = np.concatenate(picks1), np.concatenate(picks2)
+    lo1, hi1 = np.searchsorted(keys1, [sids[:, 0] << 16, (sids[:, 0] + 1) << 16])
+    lo2, hi2 = np.searchsorted(keys2, [sids[:, 1] << 16, (sids[:, 1] + 1) << 16])
+    kept = (hi1 > lo1) & (hi1 - lo1 == hi2 - lo2)  # present in both, the same length
+    lengths = (hi1 - lo1)[kept]
+    at1, at2 = _ranges(lo1[kept], lengths), _ranges(lo2[kept], lengths)
+    sentence = np.repeat(np.arange(lengths.size), lengths)
+    differs = np.bincount(sentence[(keys1[at1] & 0xFFFF) != (keys2[at2] & 0xFFFF)],
+                          minlength=lengths.size)
+    same_steps = differs[sentence] == 0  # timestep sets must match exactly
+    src, tgt = rows1[at1[same_steps]], rows2[at2[same_steps]]
+    same = store1.token_ids[src] == store2.token_ids[tgt]
+    src, tgt = src[same], tgt[same]
     if not src.size:
         raise EmptyPairsError("alignment produced no paired contexts")
     return PairedContexts(

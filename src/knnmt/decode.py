@@ -23,7 +23,7 @@ from .errors import (
     UntrainedModelError,
 )
 from .align import apply_map
-from .vecstore import Datastore, query, record_dtype
+from .vecstore import Datastore, _ranges, query, record_dtype
 
 PROB_FLOOR = 1e-12  # floor before log; keeps zero-support tokens finite
 FEATURE_HASH_SEED = 0x5EED
@@ -211,11 +211,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     starts = np.ones(values.size, dtype=bool)
     starts[1:] = values[1:] != values[:-1]
     return starts
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``np.arange(s, s + n)`` for each start s and length n, concatenated."""
-    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
 def _find(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ similarity, plus permutation importance over the fitted model.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -116,10 +116,16 @@ def tgt_ngram_overlap(c1: Corpus, c2: Corpus) -> float:
     its two sides' unigram count vectors, which for the same sentence is the
     sum of its squared unigram counts. The raw value is unbounded; min-max
     scaling to [0, 1] happens across a pair set in pair_features_table.
+    The counts come from one ``np.unique`` over (shared sentence, token)
+    keys, and their squares are summed as integers.
     """
     shared = c1.target_set & c2.target_set
-    return float(sum(count * count for sentence in shared
-                     for count in Counter(sentence).values()))
+    lengths = [len(sentence) for sentence in shared]
+    tokens = np.fromiter(chain.from_iterable(shared), dtype=np.int64, count=sum(lengths))
+    tokens = np.unique(tokens, return_inverse=True)[1]  # dense ids: any int64 token fits 32 bits
+    sentence = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    _, counts = np.unique(sentence << 32 | tokens, return_counts=True)
+    return float(np.sum(counts * counts))
 
 
 def load_distance_table(path: str | os.PathLike) -> dict[tuple[str, str], dict[str, float]]:

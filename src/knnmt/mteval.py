@@ -99,8 +99,3 @@ def bleu(hypotheses: Sequence[Sentence], references: Sequence[Sentence],
     return BleuScore(score=score, precisions=tuple(precisions),
                      brevity_penalty=brevity_penalty, hyp_len=hyp_len,
                      ref_len=ref_len)
-
-
-def delta_bleu(bleu_a: BleuScore, bleu_b: BleuScore) -> float:
-    """Difference of two unit-scale scores: a - b."""
-    return bleu_a.score - bleu_b.score

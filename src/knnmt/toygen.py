@@ -26,7 +26,10 @@ class ToySpec:
     Every language code, the target's included, must pass ``check_lang_code``
     (MalformedDumpError), and no code may appear twice (ValueError): they
     name the dataset's files, and the binary writers take the same codes.
-    A negative ``n_test`` raises ValueError.
+    Every other bad shape raises ValueError here, before anything is
+    generated: ``n_train`` or ``n_words`` below 1, a negative ``n_test``, a
+    ``coverage`` outside (0, 1], or a length range that is not
+    ``1 <= min_len <= max_len``.
     """
 
     langs: tuple[str, ...]
@@ -45,8 +48,14 @@ class ToySpec:
             check_lang_code(code)
         if len(set(codes)) < len(codes):
             raise ValueError(f"a language code is given twice: {', '.join(codes)}")
+        if self.n_train < 1 or self.n_words < 1:
+            raise ValueError("need at least one sentence and one word")
         if self.n_test < 0:
             raise ValueError(f"n_test must be at least 0, got {self.n_test}")
+        if not 0.0 < self.coverage <= 1.0:
+            raise ValueError("coverage must lie in (0, 1]")
+        if self.min_len < 1 or self.max_len < self.min_len:
+            raise ValueError("bad sentence length range")
 
 
 @dataclass(frozen=True)
@@ -63,12 +72,6 @@ class ToyData:
 
 
 def generate(spec: ToySpec) -> ToyData:
-    if spec.n_train < 1 or spec.n_words < 1:
-        raise ValueError("need at least one sentence and one word")
-    if not 0.0 < spec.coverage <= 1.0:
-        raise ValueError("coverage must lie in (0, 1]")
-    if spec.min_len < 1 or spec.max_len < spec.min_len:
-        raise ValueError("bad sentence length range")
     rng = np.random.default_rng(spec.seed)
     words = [f"w{i:03d}" for i in range(spec.n_words)]
     vocab = Vocabulary(list(RESERVED_TOKENS) + words)

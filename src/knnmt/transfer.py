@@ -23,15 +23,6 @@ from .errors import (
 from .vecstore import context_rows, record_dtype
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector is all-zero."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 class ContextDumpSet:
     """Per-language context vectors for a multi-parallel corpus.
 
@@ -72,11 +63,45 @@ class ContextDumpSet:
             raise ValueError(f"no dump loaded for language {lang!r}") from None
 
 
+def _row_cosines(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """Cosine of each float64 row pair; 0.0 where either row is all-zero.
+
+    Each dot product and squared norm is one row of a stacked matmul, and a
+    norm is ``np.linalg.norm``'s ``sqrt(x.dot(x))``, so every value has the
+    bits of ``np.dot(a, b) / (norm(a) * norm(b))`` on that pair alone.
+    """
+    dots = (rows1[:, None, :] @ rows2[:, :, None])[:, 0, 0]
+    norms1 = np.sqrt((rows1[:, None, :] @ rows1[:, :, None])[:, 0, 0])
+    norms2 = np.sqrt((rows2[:, None, :] @ rows2[:, :, None])[:, 0, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((norms1 == 0.0) | (norms2 == 0.0), 0.0, dots / (norms1 * norms2))
+
+
+def _sentence_means(values: np.ndarray, sentence: np.ndarray) -> np.ndarray:
+    """Mean of each run of equal ``sentence`` ids, in order.
+
+    Runs of the same length L are gathered into one (m, L) matrix and
+    averaged along its rows, which sums each run as ``np.mean`` sums it
+    alone; ``np.add.reduceat`` would sum in another order.
+    """
+    starts = np.flatnonzero(np.append(True, sentence[1:] != sentence[:-1]))
+    lengths = np.diff(np.append(starts, sentence.size))
+    means = np.empty(starts.size)
+    for length in np.unique(lengths):
+        group = np.flatnonzero(lengths == length)
+        means[group] = values[starts[group, None] + np.arange(length)].mean(axis=1)
+    return means
+
+
 def xsim(dumps: ContextDumpSet, lang1: str, lang2: str) -> float:
     """Mean cosine similarity between two languages' context vectors.
 
     Per shared sentence, similarities at shared timesteps are averaged;
-    sentence means are then averaged.
+    sentence means are then averaged with ``np.mean``. The float64 cosines
+    of all shared contexts come from one stacked matmul (``_row_cosines``)
+    and the sentence means from one matrix per sentence length
+    (``_sentence_means``), with the bits of one cosine call per context and
+    one ``np.mean`` per sentence.
     """
     keys1, vecs1 = dumps.contexts(lang1)
     keys2, vecs2 = dumps.contexts(lang2)
@@ -87,12 +112,8 @@ def xsim(dumps: ContextDumpSet, lang1: str, lang2: str) -> float:
     if not shared.size:
         raise NoOverlapError(
             f"{lang1} and {lang2} share sentences but no timesteps")
-    rows1 = vecs1[idx1].astype(np.float64)
-    rows2 = vecs2[idx2].astype(np.float64)
-    sims = np.array([cosine(a, b) for a, b in zip(rows1, rows2)])
-    sentence = shared >> 16
-    starts = np.flatnonzero(sentence[1:] != sentence[:-1]) + 1
-    return float(np.mean([float(np.mean(part)) for part in np.split(sims, starts)]))
+    sims = _row_cosines(vecs1[idx1].astype(np.float64), vecs2[idx2].astype(np.float64))
+    return float(np.mean(_sentence_means(sims, shared >> 16)))
 
 
 @dataclass(frozen=True)
@@ -206,25 +227,6 @@ def rtp(lang: str, sims: SimilarityMatrix, bleu: BleuTable,
     if max_abs == 0.0:
         return 0.0
     return float(sum((deltas[c] / max_abs) * sims.value(lang, c) for c in comparison))
-
-
-def xsim_loss(contexts1: np.ndarray, contexts2: np.ndarray,
-              center: bool = False) -> float:
-    """Summed per-timestep cosine similarity between two aligned context batches.
-
-    With ``center`` the mean vector of the concatenated batch is subtracted
-    from every row first to damp dominant (rogue) dimensions. Reported as a
-    value only; no gradients.
-    """
-    c1 = np.asarray(contexts1, dtype=np.float64)
-    c2 = np.asarray(contexts2, dtype=np.float64)
-    if c1.shape != c2.shape:
-        raise DimensionMismatchError(f"batch shapes disagree: {c1.shape} vs {c2.shape}")
-    if center:
-        mean = np.vstack([c1, c2]).mean(axis=0)
-        c1 = c1 - mean
-        c2 = c2 - mean
-    return float(sum(cosine(c1[t], c2[t]) for t in range(c1.shape[0])))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -105,6 +105,11 @@ def context_rows(sentence_ids: np.ndarray,
     return keys[last], order[last]
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.arange(s, s + n)`` for each start s and length n, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
 @dataclass(frozen=True)
 class IndexSpec:
     """Search-index configuration, sufficient to rebuild deterministically."""
@@ -316,8 +321,9 @@ def _initial_centroids(keys: np.ndarray, n_cells: int) -> np.ndarray:
 
 
 def _refine_centroids(centroids: np.ndarray, train: np.ndarray) -> np.ndarray:
+    buffers = _chunk_buffers(train, centroids)  # one pair for every iteration
     for _ in range(KMEANS_ITERS):
-        assign = _assign_cells(train, centroids)
+        assign = _assign_cells(train, centroids, buffers)
         for c in range(centroids.shape[0]):
             members = train[assign == c].astype(np.float64)  # no float64 copy of all of train
             if members.size:  # empty cells keep their previous centroid
@@ -325,12 +331,24 @@ def _refine_centroids(centroids: np.ndarray, train: np.ndarray) -> np.ndarray:
     return centroids
 
 
-def _assign_cells(keys: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _chunk_buffers(keys: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float64 chunk of keys and its product with the centroids, for ``_assign_cells``."""
+    rows = min(keys.shape[0], _CHUNK_ROWS)
+    return np.empty((rows, keys.shape[1])), np.empty((rows, centroids.shape[0]))
+
+
+def _assign_cells(keys: np.ndarray, centroids: np.ndarray,
+                  buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The closest centroid of each key, filling ``buffers`` chunk by chunk."""
+    if buffers is None:
+        buffers = _chunk_buffers(keys, centroids)
     cnorm = np.einsum("ij,ij->i", centroids, centroids)
     assign = np.empty(keys.shape[0], dtype=np.int64)
     for start in range(0, keys.shape[0], _CHUNK_ROWS):
-        chunk = np.asarray(keys[start:start + _CHUNK_ROWS], dtype=np.float64)
-        d = chunk @ centroids.T
+        part = keys[start:start + _CHUNK_ROWS]
+        chunk = buffers[0][:part.shape[0]]
+        chunk[...] = part
+        d = np.matmul(chunk, centroids.T, out=buffers[1][:part.shape[0]])
         d *= -2.0  # in place, the same bits as cnorm - 2.0 * d; ||x||^2 is constant per row
         d += cnorm
         assign[start:start + _CHUNK_ROWS] = np.argmin(d, axis=1)

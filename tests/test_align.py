@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmt.align import (
     LinearMap,
@@ -21,7 +23,8 @@ from knnmt.errors import (
     NonFiniteKeyError,
     SingularSystemError,
 )
-from knnmt.vecstore import build_datastore, make_records, merge_datastores, query
+from knnmt.vecstore import (build_datastore, context_rows, make_records, merge_datastores,
+                            query)
 
 
 def sentence_store(lang, sentences, keys_for):
@@ -36,6 +39,67 @@ def sentence_store(lang, sentences, keys_for):
 def random_rotation(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)))
     return q * np.sign(np.diag(r))
+
+
+def reference_pair_rows(store1, store2, alignment):
+    """Training-pair rows by one Python loop over the aligned sentences."""
+    keys1, rows1 = context_rows(store1.sentence_ids, store1.timesteps)
+    keys2, rows2 = context_rows(store2.sentence_ids, store2.timesteps)
+    sids = np.array([(a, b) for a, b in alignment if 0 <= a < 2**32 and 0 <= b < 2**32],
+                    dtype=np.int64).reshape(-1, 2)
+    spans1 = np.searchsorted(keys1, [sids[:, 0] << 16, (sids[:, 0] + 1) << 16]).T
+    spans2 = np.searchsorted(keys2, [sids[:, 1] << 16, (sids[:, 1] + 1) << 16]).T
+    picks1 = [np.empty(0, dtype=np.int64)]
+    picks2 = [np.empty(0, dtype=np.int64)]
+    for (lo1, hi1), (lo2, hi2) in zip(spans1, spans2):
+        if lo1 == hi1 or lo2 == hi2:  # sentence absent from a store
+            continue
+        if not np.array_equal(keys1[lo1:hi1] & 0xFFFF, keys2[lo2:hi2] & 0xFFFF):
+            continue
+        r1, r2 = rows1[lo1:hi1], rows2[lo2:hi2]
+        same = store1.token_ids[r1] == store2.token_ids[r2]
+        picks1.append(r1[same])
+        picks2.append(r2[same])
+    return np.concatenate(picks1), np.concatenate(picks2)
+
+
+@st.composite
+def aligned_stores(draw):
+    """Two stores over the same sentence ids, with missing sentences, lengths,
+    timesteps and tokens that differ, and alignments with repeated and
+    out-of-range ids."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stores = []
+    base = [rng.integers(0, 4, size=rng.integers(1, 6)) for _ in range(n)]
+    for lang in ("aa", "bb"):
+        sids, ts, toks = [], [], []
+        for sid, tokens in enumerate(base):
+            if rng.random() < 0.1:
+                continue  # absent from this store
+            tokens = tokens.copy()
+            if rng.random() < 0.1:
+                tokens = np.append(tokens, 1)  # a longer decode
+            steps = np.arange(tokens.size)
+            if rng.random() < 0.1:
+                steps[-1] += 3  # the same length, other timesteps
+            flip = rng.random(tokens.size) < 0.1
+            tokens[flip] = rng.integers(0, 4, size=int(flip.sum()))
+            sids += [sid] * tokens.size
+            ts += steps.tolist()
+            toks += tokens.tolist()
+        if not sids:
+            sids, ts, toks = [n + 5], [0], [0]
+        order = rng.permutation(len(sids))  # rows in any order
+        vecs = rng.normal(size=(len(sids), 4)).astype(np.float32)
+        stores.append(build_datastore(
+            make_records(vecs, np.array(toks)[order], np.array(sids)[order],
+                         np.array(ts)[order]), 10, lang))
+    ids = st.one_of(st.integers(0, n + 1), st.sampled_from([-1, 2**32, 2**40, -2**40]))
+    same_sentence = st.integers(0, n - 1).map(lambda i: (i, i))
+    alignment = draw(st.lists(st.one_of(same_sentence, st.tuples(ids, ids)),
+                                   min_size=1, max_size=12))
+    return stores[0], stores[1], alignment
 
 
 class TestExtractPairs:
@@ -113,6 +177,38 @@ class TestExtractPairs:
             for lang in ("aa", "bb")])
         with pytest.raises(ValueError):
             extract_training_pairs(store1, mixed, [(0, 0)])
+
+    @given(aligned_stores())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop_over_sentences(self, case):
+        store1, store2, alignment = case
+        src, tgt = reference_pair_rows(store1, store2, alignment)
+        if not src.size:
+            with pytest.raises(EmptyPairsError):
+                extract_training_pairs(store1, store2, alignment)
+            return
+        pairs = extract_training_pairs(store1, store2, alignment)
+        assert np.array_equal(pairs.rows_src, store1.keys[src].astype(np.float64))
+        assert np.array_equal(pairs.rows_tgt, store2.keys[tgt].astype(np.float64))
+
+    def test_repeated_alignment_rows_pair_again(self):
+        store1 = sentence_store("aa", self.sentences, self.base_keys())
+        store2 = sentence_store("bb", self.sentences, self.base_keys())
+        once = extract_training_pairs(store1, store2, [(1, 1), (2, 2)])
+        twice = extract_training_pairs(store1, store2, [(1, 1), (2, 2), (1, 1)])
+        n1 = len(self.sentences[1])
+        assert np.array_equal(twice.rows_src,
+                              np.concatenate([once.rows_src, once.rows_src[:n1]]))
+
+    def test_same_length_other_timesteps_drops_sentence(self):
+        cells = [(0, 0, 5), (0, 1, 6), (1, 0, 7)]
+        other = [(0, 0, 5), (0, 2, 6), (1, 0, 7)]  # sentence 0 has timestep 2, not 1
+        stores = [build_datastore(make_records(np.eye(3, dtype=np.float32),
+                                               [c[2] for c in rows], [c[0] for c in rows],
+                                               [c[1] for c in rows]), 10, lang)
+                  for lang, rows in (("aa", cells), ("bb", other))]
+        pairs = extract_training_pairs(*stores, [(0, 0), (1, 1)])
+        assert np.array_equal(pairs.rows_src, np.eye(3)[2:])
 
 
 class TestFit:

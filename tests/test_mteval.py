@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from knnmt.errors import (
     DimensionMismatchError,
     EmptyInputError,
     UndefinedReferenceError,
 )
-from knnmt.mteval import BleuScore, bleu, delta_bleu
+from knnmt.mteval import bleu
 
 
 def toks(text):
@@ -123,22 +121,3 @@ class TestBleu:
     def test_unknown_smoothing(self):
         with pytest.raises(ValueError):
             bleu([toks("a b")], [toks("a b")], smoothing="floor")
-
-
-class TestDeltaBleu:
-    def make(self, score):
-        return BleuScore(score=score, precisions=(score,) * 4,
-                         brevity_penalty=1.0, hyp_len=10, ref_len=10)
-
-    def test_equal_scores_give_zero(self):
-        assert delta_bleu(self.make(0.4), self.make(0.4)) == 0.0
-
-    def test_simple_difference(self):
-        assert delta_bleu(self.make(0.30), self.make(0.25)) == \
-            pytest.approx(0.05, abs=1e-12)
-
-    @given(st.floats(0, 1), st.floats(0, 1))
-    @settings(max_examples=100, deadline=None)
-    def test_antisymmetry(self, a, b):
-        sa, sb = self.make(a), self.make(b)
-        assert delta_bleu(sa, sb) == -delta_bleu(sb, sa)

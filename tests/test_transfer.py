@@ -15,14 +15,38 @@ from knnmt.transfer import (
     BleuTable,
     ContextDumpSet,
     SimilarityMatrix,
-    cosine,
+    _row_cosines,
+    _sentence_means,
     rtp,
     similarity_matrix,
     spearman,
     xsim,
-    xsim_loss,
 )
 from knnmt.vecstore import make_records
+
+
+def cosine(a, b):
+    """Reference cosine, one pair at a time; 0.0 when either vector is all-zero."""
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def reference_xsim(dumps, lang1, lang2):
+    """xsim as one cosine call per shared context and one np.mean per sentence."""
+    keys1, vecs1 = dumps.contexts(lang1)
+    keys2, vecs2 = dumps.contexts(lang2)
+    shared, idx1, idx2 = np.intersect1d(keys1, keys2, assume_unique=True,
+                                        return_indices=True)
+    rows1 = vecs1[idx1].astype(np.float64)
+    rows2 = vecs2[idx2].astype(np.float64)
+    sims = np.array([cosine(a, b) for a, b in zip(rows1, rows2)])
+    sentence = shared >> 16
+    starts = np.flatnonzero(sentence[1:] != sentence[:-1]) + 1
+    means = [float(np.mean(part)) for part in np.split(sims, starts)]
+    return sims, np.array(means), float(np.mean(means))
 
 
 def dump_from_arrays(dim, per_lang):
@@ -146,6 +170,70 @@ class TestXsim:
             vecs[0, 0] = 0.0
 
 
+@st.composite
+def oracle_dumps(draw):
+    """Two languages' dumps over sentences of 1 to 300 timesteps, with all-zero rows.
+
+    Sentence lengths cross numpy's 8-wide summation unroll and its 128-element
+    pairwise block; bb drops some of aa's timesteps, so the shared lengths vary.
+    """
+    dim = draw(st.sampled_from([1, 2, 3, 8, 17, 64]))
+    lengths = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(120, 300)),
+                            min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    zero_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(seed)
+    sids = np.repeat(np.arange(len(lengths)) * 3, lengths)
+    ts = np.concatenate([np.arange(n) for n in lengths])
+    vecs = {}
+    for lang in ("aa", "bb"):
+        v = rng.normal(size=(ts.size, dim)).astype(np.float32)
+        v[rng.random(ts.size) < zero_share] = 0.0
+        vecs[lang] = v
+    kept = rng.random(ts.size) < 0.9
+    kept[np.flatnonzero(np.append(True, sids[1:] != sids[:-1]))] = True  # every sentence shared
+    dumps = ContextDumpSet(dim)
+    dumps.add_records("aa", make_records(vecs["aa"], 0, sids, ts))
+    dumps.add_records("bb", make_records(vecs["bb"][kept], 0, sids[kept], ts[kept]))
+    return dumps
+
+
+class TestXsimOracle:
+    @given(oracle_dumps())
+    @settings(max_examples=60, deadline=None)
+    def test_every_cosine_mean_and_result_bit_for_bit(self, dumps):
+        sims, means, value = reference_xsim(dumps, "aa", "bb")
+        keys1, vecs1 = dumps.contexts("aa")
+        keys2, vecs2 = dumps.contexts("bb")
+        shared, idx1, idx2 = np.intersect1d(keys1, keys2, assume_unique=True,
+                                            return_indices=True)
+        got = _row_cosines(vecs1[idx1].astype(np.float64), vecs2[idx2].astype(np.float64))
+        assert got.tobytes() == sims.tobytes()
+        assert _sentence_means(got, shared >> 16).tobytes() == means.tobytes()
+        result = xsim(dumps, "aa", "bb")
+        assert type(result) is float
+        assert np.float64(result).tobytes() == np.float64(value).tobytes()
+
+    def test_zero_rows_in_either_language_and_single_timesteps(self):
+        dumps = ContextDumpSet(3)
+        vecs = [[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.5, 0.0, -1.0], [3.0, 0.0, 4.0]]
+        dumps.add_records("aa", make_records(vecs, 0, [0, 1, 2, 2], [0, 0, 0, 1]))
+        dumps.add_records("bb", make_records(vecs[::-1], 0, [0, 1, 2, 2], [0, 0, 0, 1]))
+        sims, means, value = reference_xsim(dumps, "aa", "bb")
+        assert sims[0] == 0.0 and sims[3] == 0.0  # an all-zero row on either side
+        assert xsim(dumps, "aa", "bb") == value
+        assert _sentence_means(sims, np.array([0, 1, 2, 2])).tobytes() == means.tobytes()
+
+    def test_every_run_length_up_to_300(self):
+        rng = np.random.default_rng(11)
+        lengths = np.arange(1, 301)
+        values = rng.normal(size=lengths.sum())
+        sentence = np.repeat(np.arange(lengths.size), lengths)
+        starts = np.cumsum(lengths)[:-1]
+        want = np.array([float(np.mean(part)) for part in np.split(values, starts)])
+        assert _sentence_means(values, sentence).tobytes() == want.tobytes()
+
+
 class TestSimilarityMatrix:
     def test_builder_sets_unit_diagonal_and_symmetry(self):
         rng = np.random.default_rng(4)
@@ -267,38 +355,6 @@ class TestBleuTable:
         path.write_text("#scale=unit\naa\t0.2\t0.3\n#scale=percent\n")
         with pytest.raises(ValueError, match="#scale=percent"):
             BleuTable.from_file(path)
-
-
-class TestXsimLoss:
-    def test_identical_batches_sum_to_row_count(self):
-        rng = np.random.default_rng(6)
-        batch = rng.normal(size=(7, 4))
-        assert xsim_loss(batch, batch.copy()) == pytest.approx(7.0, abs=1e-9)
-
-    def test_orthogonal_rows_give_zero(self):
-        c1 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        c2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert xsim_loss(c1, c2) == 0.0
-
-    def test_centering_hand_case(self):
-        # batch mean is (0.5, 0.5); centered rows become opposites
-        c1 = np.array([[1.0, 0.0], [1.0, 0.0]])
-        c2 = np.array([[0.0, 1.0], [0.0, 1.0]])
-        assert xsim_loss(c1, c2, center=False) == 0.0
-        assert xsim_loss(c1, c2, center=True) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_centered_value_shift_invariant(self):
-        rng = np.random.default_rng(7)
-        c1 = rng.normal(size=(5, 4))
-        c2 = rng.normal(size=(5, 4))
-        shift = rng.normal(size=4) * 10
-        base = xsim_loss(c1, c2, center=True)
-        shifted = xsim_loss(c1 + shift, c2 + shift, center=True)
-        assert shifted == pytest.approx(base, abs=1e-9)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            xsim_loss(np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 class TestSpearman:
