@@ -55,7 +55,6 @@ from .vecstore import (
     load_datastore,
     make_records,
     merge_datastores,
-    provenance_stats,
     query,
     read_datastore,
     read_dump,

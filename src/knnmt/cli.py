@@ -242,17 +242,29 @@ def cmd_map_apply(args) -> dict:
     return {"entry_count": len(mapped)}
 
 
+def _cell_index_fields(store: vecstore.Datastore | None) -> dict:
+    """Whether a searched store's cell index was read, built, or built but not saved
+    (its cell file could not be written), and the seconds its k-means run took;
+    None and 0 for an exact-scan store or none.
+    """
+    index = vars(store).get("index") if store is not None else None  # never built here
+    if not isinstance(index, vecstore.CellProbeIndex):
+        return {"cell_index": None, "kmeans_seconds": 0.0}
+    return {"cell_index": index.origin, "kmeans_seconds": index.build_seconds}
+
+
 def cmd_translate(args) -> dict:
+    # every input is read before the store: loading one may write its cell file
     vocab, _, model = _load_model(args)
+    lin_map = align.load_linear_map(args.map) if args.map else None
+    cfg = decode.KnnConfig(k=args.k, lam=args.lam, temperature=args.temperature)
+    sentences = read_sentences(args.input)
+    encoded = [vocab.encode(s) for s in sentences]
     store = None
     if len(args.store) == 1:
         store = vecstore.load_datastore(args.store[0])
     elif args.store:  # only the merged store is searched: its index is built on warm-up
         store = vecstore.merge_datastores([vecstore.read_datastore(p) for p in args.store])
-    lin_map = align.load_linear_map(args.map) if args.map else None
-    cfg = decode.KnnConfig(k=args.k, lam=args.lam, temperature=args.temperature)
-    sentences = read_sentences(args.input)
-    encoded = [vocab.encode(s) for s in sentences]
 
     def run(source: list[int]) -> list[int]:
         if args.beam == 1:
@@ -279,7 +291,8 @@ def cmd_translate(args) -> dict:
     return {
         "elapsed_seconds": elapsed, "cpu_seconds": cpu, "sentences": len(outputs),
         "tokens_decoded": token_count,
-        "tokens_per_sec": token_count / elapsed if elapsed > 0 else None}
+        "tokens_per_sec": token_count / elapsed if elapsed > 0 else None,
+        **_cell_index_fields(store)}
 
 
 def cmd_bleu(args) -> dict:
@@ -358,7 +371,9 @@ def cmd_bench(args) -> dict:
             f.write(table)
     return {"monotonic_speedup": monotone,
             "table": [{"entries": r.entries, "tokens_per_sec": r.tokens_per_sec,
-                       "index": r.index_kind} for r in rows]}
+                       "index": r.index_kind} for r in rows],
+            "stores": [{"path": path, **_cell_index_fields(store)}
+                       for path, store in zip(args.stores, stores)]}
 
 
 def cmd_analyze(args) -> dict:

@@ -13,6 +13,8 @@ import json
 import os
 import re
 import struct
+import time
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -31,6 +33,7 @@ from .errors import (
 
 RDMP_MAGIC = b"RDMP1\x00"
 KDS_MAGIC = b"KDS1\x00\x00"
+CELLS_MAGIC = b"KCL1"
 
 KMEANS_ITERS = 10
 DEFAULT_TRAIN_SIZE = 65536
@@ -261,17 +264,22 @@ class CellProbeIndex:
     Centroids start from the first ``n_cells`` distinct entries and are
     refined with a fixed number of Lloyd iterations over a deterministic
     prefix subsample, trading cluster quality for reproducibility. The
-    cells are held as one CSR pair: ``_order`` lists the entry ids cell by
-    cell, in entry order within a cell, and cell c holds
-    ``_order[_bounds[c]:_bounds[c + 1]]``. A query scans only the
-    ``n_probe`` cells whose centroids are closest, ties by cell id, or more
-    until they hold k entries; probing every cell reproduces the exact scan,
-    tie-breaks included. Each probed cell is one contiguous slice of
-    ``_cell_keys``, the keys in ``_order``, which the first search copies
-    with their norms; ``_keys`` stays the store's keys. The probed slices go
-    through the same certified float32 shortlist as ``ExactScanIndex``
-    (``_certified_topk``), so the result equals a float64 scan of every
-    probed entry, ties broken by entry id.
+    constructor is one such k-means run; ``from_cells`` restores an index
+    from centroids and cells that a run made before (``load_datastore``'s
+    cell file) without running it again. The cells are held as one CSR
+    pair: ``_order`` lists the entry ids cell by cell, in entry order within
+    a cell, and cell c holds ``_order[_bounds[c]:_bounds[c + 1]]``. A query
+    scans only the ``n_probe`` cells whose centroids are closest, ties by
+    cell id, or more until they hold k entries; probing every cell
+    reproduces the exact scan, tie-breaks included. Each probed cell is one
+    contiguous slice of ``_cell_keys``, the keys in ``_order``, which the
+    first search copies with their norms; ``_keys`` stays the store's keys.
+    The probed slices go through the same certified float32 shortlist as
+    ``ExactScanIndex`` (``_certified_topk``), so the result equals a float64
+    scan of every probed entry, ties broken by entry id. ``origin`` says
+    where the index came from ("built", "read", or "built, not saved" when
+    ``load_datastore`` could not write the cell file) and ``build_seconds``
+    the time its k-means run took.
     """
 
     kind = "cell-probe"
@@ -280,15 +288,31 @@ class CellProbeIndex:
                  train_size: int = DEFAULT_TRAIN_SIZE):
         if n_cells < 1 or n_probe < 1:
             raise ValueError("n_cells and n_probe must be positive")
-        self._keys = keys
-        self.n_probe = n_probe
+        started = time.perf_counter()
         centroids = _initial_centroids(keys, n_cells)
         centroids = _refine_centroids(centroids, keys[:max(train_size, 1)])
+        self._set_cells(keys, n_probe, centroids, _assign_cells(keys, centroids))
+        self.origin = "built"
+        self.build_seconds = time.perf_counter() - started
+
+    @classmethod
+    def from_cells(cls, keys: np.ndarray, n_probe: int, centroids: np.ndarray,
+                   cells: np.ndarray) -> CellProbeIndex:
+        """The index whose k-means run gave ``centroids`` and each key's cell, ``cells``."""
+        index = cls.__new__(cls)  # no __init__: that is the k-means run
+        index._set_cells(keys, n_probe, centroids, cells)
+        index.origin = "read"
+        index.build_seconds = 0.0
+        return index
+
+    def _set_cells(self, keys: np.ndarray, n_probe: int, centroids: np.ndarray,
+                   cells: np.ndarray) -> None:
+        self._keys = keys
+        self.n_probe = n_probe
         self.centroids = centroids
         self.n_cells = centroids.shape[0]
-        assign = _assign_cells(keys, centroids)
-        self._order = np.argsort(assign, kind="stable")
-        self._bounds = np.searchsorted(assign[self._order], np.arange(self.n_cells + 1))
+        self._order = np.argsort(cells, kind="stable")
+        self._bounds = np.searchsorted(cells[self._order], np.arange(self.n_cells + 1))
         self._sizes = np.diff(self._bounds)
         # on the first search, as ExactScanIndex's norms: an unsearched store holds one key set
         self._cell_keys = None
@@ -305,6 +329,10 @@ class CellProbeIndex:
             self._cell_norms = _row_norms(self._keys)[self._order]
         return _certified_topk(self._cell_keys, self._cell_norms, q, k,
                                (self._bounds[cells], self._bounds[cells + 1]), self._order)
+
+
+def _cell_dtype(n_cells: int) -> np.dtype:
+    return np.dtype("<u2" if n_cells <= 2**16 else "<u4")
 
 
 def _initial_centroids(keys: np.ndarray, n_cells: int) -> np.ndarray:
@@ -370,10 +398,11 @@ class Datastore:
     index is built from ``index_spec`` on the first access to ``index``,
     which ``query`` makes, so building, merging, mapping or saving a store
     runs no k-means. ``read_datastore`` returns a store whose index is not
-    built yet; ``load_datastore`` builds it (k-means) before returning. The
-    index's first search adds its row norms and, for a cell-probe index,
-    its cell-ordered copy of the keys. None of these is built under a lock;
-    the program searches a store from one thread.
+    built yet; ``load_datastore`` sets it before returning, for a cell-probe
+    store from the store's cell file when a valid one exists. The index's
+    first search adds its row norms and, for a cell-probe index, its
+    cell-ordered copy of the keys. None of these is built under a lock; the
+    program searches a store from one thread.
     """
 
     def __init__(self, rows: np.ndarray, vocab_size: int,
@@ -510,37 +539,6 @@ def query(store: Datastore, q: np.ndarray, k: int) -> np.recarray:
     nbrs["distance"] = dists
     nbrs["token_id"] = store.token_ids[idx]
     return nbrs.view(np.recarray)
-
-
-@dataclass(frozen=True)
-class ProvenanceStat:
-    """Observed vs. size-proportional retrieval share for one language."""
-
-    p_obs: float
-    p_uni: float
-    ratio: float
-
-
-def provenance_stats(store: Datastore,
-                     queries: Sequence[tuple[np.ndarray, int]]) -> dict[str, ProvenanceStat]:
-    """Per-language retrieval shares over a query workload.
-
-    p_obs is each language's fraction of all retrieved neighbors, p_uni its
-    fraction of stored entries, and ratio = p_obs / p_uni measures over- or
-    undersampling relative to a size-proportional draw.
-    """
-    if not queries:
-        raise EmptyInputError("provenance stats need at least one query")
-    idx = np.concatenate([query(store, q, k).entry_index for q, k in queries])
-    retrieved = np.bincount(store.lang_indices[idx], minlength=len(store.lang_codes))
-    total_retrieved = int(retrieved.sum())
-    total_entries = len(store)
-    stats = {}
-    for i, code in enumerate(store.lang_codes):
-        p_obs = retrieved[i] / total_retrieved
-        p_uni = store.languages[code] / total_entries
-        stats[code] = ProvenanceStat(p_obs=p_obs, p_uni=p_uni, ratio=p_obs / p_uni)
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -728,15 +726,107 @@ def read_datastore(path: str | os.PathLike) -> Datastore:
     return Datastore(rows, vocab_size, tuple(lang_codes), spec)
 
 
-def load_datastore(path: str | os.PathLike) -> Datastore:
-    """``read_datastore``, then build the search index, deterministically, before returning.
+def cells_path(path: str | os.PathLike) -> str:
+    """Where ``load_datastore`` keeps a cell-probe store's index: ``<store path>.cells``."""
+    return os.fspath(path) + ".cells"
 
-    KDS1 does not keep the index, so a cell-probe store runs k-means here,
-    on load rather than on the first search. The first search still adds
-    the index's row norms and, for a cell-probe index, its cell-ordered key
-    copy: a store that is loaded and never searched holds no second set of
-    keys. The checks and errors are ``read_datastore``'s.
+
+# KCL1 cell file: magic, u64 entry count, u32 dim, n_cells, train_size, rows CRC32 and
+# centroid count, then float64 centroids, each entry's cell, and the CRC32 of all before it
+_CELLS_HEAD = struct.Struct("<4sQIIIII")
+
+
+def _corrupt_cells(path: str, what: str) -> CorruptFileError:
+    return CorruptFileError(f"{path}: {what}; delete this cell file to rebuild the index")
+
+
+def _read_cells(path: str, store: Datastore, rows_crc: int) -> CellProbeIndex | None:
+    """The index kept in the cell file at ``path``, or None when there is none or it is
+    stale: written for other rows, another dimension or another ``n_cells``/``train_size``.
+
+    A file that contradicts itself raises CorruptFileError: it fails its own CRC, a size
+    disagrees with its length, a cell has no centroid, or a centroid is not finite.
+    """
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        return None
+    if len(raw) < _CELLS_HEAD.size + 4:
+        raise _corrupt_cells(path, f"truncated at {len(raw)} bytes")
+    if raw[:len(CELLS_MAGIC)] != CELLS_MAGIC:
+        raise _corrupt_cells(path, "bad magic, not a KCL1 cell file")
+    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    if zlib.crc32(memoryview(raw)[:-4]) != crc:
+        raise _corrupt_cells(path, "CRC32 mismatch")
+    _, count, dim, n_cells, train_size, crc_of_rows, n_centroids = \
+        _CELLS_HEAD.unpack_from(raw)
+    cell_dtype = _cell_dtype(n_centroids)
+    if not (dim >= 1 and 1 <= n_centroids <= n_cells <= count and len(raw) == (
+            _CELLS_HEAD.size + n_centroids * dim * 8 + count * cell_dtype.itemsize + 4)):
+        raise _corrupt_cells(path, "sizes disagree with each other or the file length")
+    centroids = np.frombuffer(raw, "<f8", n_centroids * dim, _CELLS_HEAD.size)
+    cells = np.frombuffer(raw, cell_dtype, count, _CELLS_HEAD.size + centroids.nbytes)
+    if not np.isfinite(centroids).all():
+        raise _corrupt_cells(path, "a centroid is not finite")
+    if int(cells.max()) >= n_centroids:
+        raise _corrupt_cells(path, f"a cell id is not below {n_centroids} cells")
+    spec = store.index_spec
+    if (count, dim, n_cells, train_size, crc_of_rows) != (
+            len(store), store.dim, spec.n_cells, spec.train_size, rows_crc):
+        return None
+    return CellProbeIndex.from_cells(store.keys, spec.n_probe,
+                                     centroids.reshape(n_centroids, dim).copy(), cells)
+
+
+def _write_cells(path: str, store: Datastore, rows_crc: int, index: CellProbeIndex) -> None:
+    """Write ``index`` as the cell file at ``path``, as ``_read_cells`` reads it.
+
+    The bytes go to a temporary file in the same directory that then replaces
+    ``path``, so an interrupted write leaves no partial file; on an error the
+    temporary file is removed before the error propagates.
+    """
+    spec = store.index_spec
+    cells = np.empty(len(store), dtype=_cell_dtype(index.n_cells))
+    cells[index._order] = np.repeat(np.arange(index.n_cells), index._sizes)
+    body = b"".join((_CELLS_HEAD.pack(CELLS_MAGIC, len(store), store.dim, spec.n_cells,
+                                      spec.train_size, rows_crc, index.n_cells),
+                     index.centroids.astype("<f8").tobytes(), cells.tobytes()))
+    temp = f"{path}.{os.getpid()}.tmp"  # one process writes one store's file at a time
+    try:
+        with open(temp, "wb") as f:
+            f.write(body + struct.pack("<I", zlib.crc32(body)))
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
+
+
+def load_datastore(path: str | os.PathLike) -> Datastore:
+    """``read_datastore``, then set the search index, deterministically, before returning.
+
+    A cell-probe store's index comes from its cell file (``cells_path``) when
+    that file is valid for the store's rows and spec; otherwise k-means
+    builds it here and the cell file is written (or overwritten) for later
+    loads. A failed write leaves the index built, marked ``"built, not saved"``.
+    A corrupt cell file raises CorruptFileError. An exact-scan store has no
+    cell file. The first search still adds the index's row norms and, for a
+    cell-probe index, its cell-ordered key copy: a store that is loaded and
+    never searched holds no second set of keys. The store's checks and
+    errors are ``read_datastore``'s.
     """
     store = read_datastore(path)
-    store.index  # noqa: B018 - built now; see above
+    if store.index_spec.kind == "cell-probe":
+        cells_file = cells_path(path)
+        rows_crc = zlib.crc32(store.rows)
+        index = _read_cells(cells_file, store, rows_crc)
+        if index is not None:
+            store.index = index
+        else:
+            try:
+                _write_cells(cells_file, store, rows_crc, store.index)
+            except OSError:
+                store.index.origin = "built, not saved"
+    store.index  # noqa: B018 - set now; see above
     return store

@@ -343,13 +343,49 @@ class TestIndexBuilds:
             assert len(index_builds) == 1
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
-    def test_read_builds_none_and_load_builds_one(self, cp_stores, index_builds):
-        store = vecstore.read_datastore(cp_stores["aa"])
+    def test_first_load_builds_one_and_later_loads_read_it(self, cp_stores, tmp_path,
+                                                          index_builds):
+        path = tmp_path / "aa.cp.kds"
+        path.write_bytes(cp_stores["aa"].read_bytes())  # no cell file beside it yet
+        store = vecstore.read_datastore(path)
         assert len(index_builds) == 0
         store.index  # noqa: B018 - the first search builds it
         assert len(index_builds) == 1
-        load_datastore(cp_stores["aa"])
+        assert not os.path.exists(vecstore.cells_path(path))
+        load_datastore(path)
         assert len(index_builds) == 2
+        assert os.path.exists(vecstore.cells_path(path))
+        load_datastore(path)
+        assert len(index_builds) == 2
+        vecstore.read_datastore(path).index  # noqa: B018 - reads ignore the cell file
+        assert len(index_builds) == 3
+
+    def _translate(self, toy_dir, store, output, *extra):
+        return run("translate", "--train-src", toy_dir / "aa-en.train.aa",
+                   "--train-tgt", toy_dir / "aa-en.train.en", "--vocab", toy_dir / "vocab.txt",
+                   "--dim", "32", "--store", store, "--output", output, "-k", "4", *extra)
+
+    def test_translate_records_how_the_index_was_set(self, toy_dir, cp_stores, tmp_path):
+        path = tmp_path / "aa.cp.kds"
+        path.write_bytes(cp_stores["aa"].read_bytes())
+        seen = []
+        for _ in range(2):
+            output = tmp_path / "out.txt"
+            assert self._translate(toy_dir, path, output,
+                                   "--input", toy_dir / "aa-en.test.aa") == 0
+            manifest = json.loads((tmp_path / "out.txt.run.json").read_text())
+            seen.append((manifest["cell_index"], manifest["kmeans_seconds"] > 0))
+        assert seen == [("built", True), ("read", False)]
+
+    def test_translate_input_error_writes_no_cell_file(self, toy_dir, cp_stores, tmp_path):
+        path = tmp_path / "aa.cp.kds"
+        path.write_bytes(cp_stores["aa"].read_bytes())
+        output = tmp_path / "out.txt"
+        assert self._translate(toy_dir, path, output,
+                               "--input", tmp_path / "missing.txt") == 2
+        assert self._translate(toy_dir, path, output, "--input", toy_dir / "aa-en.test.aa",
+                               "--map", tmp_path / "missing.klm") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aa.cp.kds"]
 
 
 class TestBleuCommand:
@@ -394,6 +430,26 @@ class TestBench:
         stdout = capsys.readouterr().out
         assert "entries\ttokens_per_sec\tindex" in stdout
         assert "monotonic_speedup=" in out.read_text()
+
+    def test_manifest_records_each_cell_index(self, tmp_path):
+        rng = np.random.default_rng(4)
+        exact = self.make_store_file(tmp_path, rng, 100, "exact.kds")
+        records = make_records(rng.normal(size=(300, 16)), 3, np.arange(300), 0)
+        probe = tmp_path / "probe.kds"
+        vecstore.save_datastore(vecstore.build_datastore(
+            records, 30, "xx", index_kind="cell-probe",
+            index_params={"n_cells": 4, "n_probe": 2}), probe)
+        queries = tmp_path / "q.rdmp"
+        write_dump(queries, DumpHeader(16, 30, "xx"), records[:5])
+        seen = []
+        for _ in range(2):
+            assert run("bench", exact, probe, "--queries", queries, "-k", "4",
+                       "--out", tmp_path / "bench.tsv") == 0
+            manifest = json.loads((tmp_path / "bench.tsv.run.json").read_text())
+            seen.append([(s["path"], s["cell_index"], s["kmeans_seconds"] > 0)
+                         for s in manifest["stores"]])
+        assert seen == [[(str(exact), None, False), (str(probe), "built", True)],
+                        [(str(exact), None, False), (str(probe), "read", False)]]
 
     def test_negative_warmup_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

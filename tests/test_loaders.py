@@ -4,19 +4,25 @@ Every truncation, every single-bit flip and one appended byte of a small
 RDMP1, cell-probe KDS1 and KLM1 file either loads or raises a toolkit error,
 never anything else; fields the header contradicts raise CorruptFileError.
 KDS1 files go through both ``load_datastore`` and ``read_datastore`` (the
-"KDS1-read" cases), which must make the same checks.
+"KDS1-read" cases), which must make the same checks. A cell file that
+``load_datastore`` wrote beside a cell-probe store raises CorruptFileError
+under every truncation, flipped byte and contradicting field.
 """
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmt.align import LinearMap, load_linear_map, save_linear_map
 from knnmt.errors import CorruptFileError, KnnmtError
 from knnmt.vecstore import (
     DumpHeader,
     build_datastore,
+    cells_path,
     load_datastore,
     make_records,
     merge_datastores,
@@ -134,3 +140,63 @@ def test_language_listed_twice_rejected(tmp_path):
     for load in (load_datastore, read_datastore):
         with pytest.raises(CorruptFileError):
             load(path)
+
+
+@pytest.fixture(scope="module")
+def cell_file(tmp_path_factory):
+    """A 40-entry, 4-cell store and the bytes of the cell file its first load writes."""
+    path = tmp_path_factory.mktemp("cells") / "store.kds"
+    rows = records(n=40)
+    save_datastore(build_datastore(rows, 10, "aa", index_kind="cell-probe",
+                                   index_params={"n_cells": 4, "n_probe": 1}), path)
+    assert load_datastore(path).index.origin == "built"
+    with open(cells_path(path), "rb") as f:
+        return path, f.read()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_truncated_or_flipped_cell_file_raises(cell_file, data):
+    path, raw = cell_file
+    if data.draw(st.booleans(), label="truncate"):
+        variant = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        variant = bytearray(raw)
+        for at in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=3,
+                                     unique=True), label="positions"):
+            variant[at] ^= data.draw(st.integers(1, 255), label="mask")
+        variant = bytes(variant)
+    with open(cells_path(path), "wb") as f:
+        f.write(variant)
+    with pytest.raises(CorruptFileError):
+        load_datastore(path)
+
+
+# KCL1 offsets: magic 0, u64 count 4, u32 dim 12, n_cells 16, train_size 20, rows
+# CRC 24, centroid count 28, float64 centroids from 32, then u2 cells (4 x 4 x 8 bytes
+# later, at 160); the file's own CRC is its last 4 bytes. Each patch but the last is
+# sealed with a fresh CRC, so the field's own check must catch it.
+CELL_PATCHES = {
+    "magic": (0, b"KCL2"),
+    "count": (4, struct.pack("<Q", 41)),
+    "dim": (12, struct.pack("<I", 5)),
+    "n_cells-below-centroids": (16, struct.pack("<I", 3)),
+    "cell-out-of-range": (160, struct.pack("<H", 4)),
+    "nan-centroid": (32, struct.pack("<d", float("nan"))),
+    "own-crc": (-4, None),
+}
+
+
+@pytest.mark.parametrize("case", CELL_PATCHES)
+def test_contradicting_cell_field_rejected(cell_file, case):
+    path, raw = cell_file
+    at, data = CELL_PATCHES[case]
+    if data is None:
+        variant = raw[:at] + struct.pack("<I", zlib.crc32(raw[:at]) ^ 1)
+    else:
+        body = raw[:at] + data + raw[at + len(data):-4]
+        variant = body + struct.pack("<I", zlib.crc32(body))
+    with open(cells_path(path), "wb") as f:
+        f.write(variant)
+    with pytest.raises(CorruptFileError, match="delete this cell file"):
+        load_datastore(path)

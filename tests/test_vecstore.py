@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -20,7 +21,6 @@ from knnmt.vecstore import (
     load_datastore,
     make_records,
     merge_datastores,
-    provenance_stats,
     query,
     read_dump,
     record_dtype,
@@ -220,20 +220,21 @@ class TestCellProbe:
         assert np.array_equal(vecstore._assign_cells(keys, centroids), want_cells)
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Count CellProbeIndex constructions; returns the list they append to."""
+    made = []
+
+    class Counted(vecstore.CellProbeIndex):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(vecstore, "CellProbeIndex", Counted)
+    return made
+
+
 class TestLazyIndex:
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """Count CellProbeIndex constructions; returns the list they append to."""
-        made = []
-
-        class Counted(vecstore.CellProbeIndex):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(vecstore, "CellProbeIndex", Counted)
-        return made
-
     def cell_probe_store(self, rng, n=400, lang="xx"):
         return random_store(rng, n, 8, langs=(lang,), index_kind="cell-probe",
                             index_params={"n_cells": 16, "n_probe": 3})
@@ -352,54 +353,126 @@ class TestMerge:
             merge_datastores([])
 
 
-class TestProvenance:
-    def test_single_language_degenerate(self):
-        rng = np.random.default_rng(12)
-        store = random_store(rng, 20, 8)
-        stats = provenance_stats(store, [(rng.normal(size=8), 3)])
-        assert stats["xx"].p_obs == 1.0
-        assert stats["xx"].p_uni == 1.0
-        assert stats["xx"].ratio == 1.0
+class TestCellFile:
+    """``load_datastore`` keeps a cell-probe store's index in ``<store>.cells``."""
 
-    def test_constructed_geometry(self):
-        rng = np.random.default_rng(13)
-        near = rng.normal(scale=0.1, size=(90, 8)).astype(np.float32)
-        far = (rng.normal(scale=0.1, size=(10, 8)) + 100.0).astype(np.float32)
-        store = merge_datastores([
-            build_datastore(make_records(near, 0, np.arange(90), 0), 5, "aa"),
-            build_datastore(make_records(far, 0, 90 + np.arange(10), 0), 5, "bb")])
-        queries = [(rng.normal(scale=0.1, size=8), 1) for _ in range(40)]
-        stats = provenance_stats(store, queries)
-        assert stats["aa"].p_obs == 1.0
-        assert stats["aa"].ratio == pytest.approx(1.0 / 0.9)
-        assert stats["bb"].p_obs == 0.0
+    def save(self, path, keys, n_cells=6, n_probe=2, train_size=vecstore.DEFAULT_TRAIN_SIZE):
+        store = make_store(keys, index_kind="cell-probe",
+                           index_params={"n_cells": n_cells, "n_probe": n_probe,
+                                         "train_size": train_size})
+        save_datastore(store, path)
+        return store
 
-    def test_shares_sum_to_one(self):
-        rng = np.random.default_rng(14)
-        store = random_store(rng, 60, 8, langs=("aa", "bb", "cc"))
-        queries = [(rng.normal(size=8), 4) for _ in range(25)]
-        stats = provenance_stats(store, queries)
-        assert sum(s.p_obs for s in stats.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(s.p_uni for s in stats.values()) == pytest.approx(1.0, abs=1e-9)
-        counts = dict.fromkeys(store.lang_codes, 0)
-        for q, k in queries:
-            for nb in query(store, q, k):
-                counts[store.lang_codes[store.lang_indices[nb.entry_index]]] += 1
-        for code, s in stats.items():
-            assert s.p_obs == counts[code] / 100
+    def keys(self, seed=30, n=300):
+        rng = np.random.default_rng(seed)
+        keys = rng.normal(size=(n, 8)).astype(np.float32)
+        keys[n // 2:] = keys[:n - n // 2]  # every key twice: ties on every query
+        return keys
 
-    def test_uniform_self_queries_give_unit_ratio(self):
-        rng = np.random.default_rng(15)
-        store = random_store(rng, 40, 8, langs=("aa", "bb"))
-        queries = [(store.keys[i], 1) for i in range(len(store))]
-        stats = provenance_stats(store, queries)
-        for s in stats.values():
-            assert s.ratio == pytest.approx(1.0)
+    def test_restored_index_equals_a_fresh_build(self, builds, tmp_path):
+        keys, path = self.keys(), tmp_path / "s.kds"
+        self.save(path, keys)
+        load_datastore(path)
+        fresh = vecstore.CellProbeIndex(make_store(keys).keys, 6, 1)
+        exact = make_store(keys)
+        rng = np.random.default_rng(31)
+        for n_probe in range(1, 7):
+            self.save(path, keys, n_probe=n_probe)  # the same rows: the file stays valid
+            del builds[:]
+            restored = load_datastore(path)
+            assert builds == [] and restored.index.origin == "read"
+            for name in ("centroids", "_order", "_bounds"):
+                assert np.array_equal(getattr(restored.index, name), getattr(fresh, name))
+            fresh.n_probe = n_probe
+            for i in range(10):
+                q = keys[i].astype(np.float64) if i % 2 else rng.normal(size=8)
+                got = query(restored, q, 5)
+                idx, dists = fresh.search(q, 5)
+                assert np.array_equal(got.entry_index, idx)
+                assert np.array_equal(got.distance, dists)
+                if n_probe == 6:
+                    want = query(exact, q, 5)
+                    assert np.array_equal(got.entry_index, want.entry_index)
+                    assert np.array_equal(got.distance, want.distance)
 
-    def test_zero_queries(self):
-        rng = np.random.default_rng(16)
-        with pytest.raises(EmptyInputError):
-            provenance_stats(random_store(rng, 5, 8), [])
+    def test_same_bytes_rewritten_keep_the_file(self, builds, tmp_path):
+        path = tmp_path / "s.kds"
+        self.save(path, self.keys())
+        load_datastore(path)
+        cells = vecstore.cells_path(path)
+        before = open(cells, "rb").read()
+        self.save(path, self.keys())
+        assert load_datastore(path).index.origin == "read"
+        assert len(builds) == 1
+        assert open(cells, "rb").read() == before
+
+    @pytest.mark.parametrize("change", ["rows", "cells", "train_size"])
+    def test_stale_file_is_rebuilt_and_rewritten(self, builds, tmp_path, change):
+        path = tmp_path / "s.kds"
+        self.save(path, self.keys())
+        load_datastore(path)
+        before = open(vecstore.cells_path(path), "rb").read()
+        if change == "rows":
+            self.save(path, self.keys(seed=32))
+        elif change == "cells":
+            self.save(path, self.keys(), n_cells=5)
+        else:
+            self.save(path, self.keys(), train_size=100)
+        del builds[:]
+        store = load_datastore(path)
+        assert len(builds) == 1 and store.index.origin == "built"
+        after = open(vecstore.cells_path(path), "rb").read()
+        assert after != before
+        assert load_datastore(path).index.origin == "read"
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("failing", ["create", "replace"])
+    def test_failed_write_still_loads_and_leaves_nothing(self, builds, tmp_path,
+                                                         monkeypatch, failing):
+        path = tmp_path / "s.kds"
+        store = self.save(path, self.keys())
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only directory")
+
+        def refuse_writes(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                refuse()
+            return open(file, mode, *args, **kwargs)
+
+        if failing == "create":
+            monkeypatch.setattr(vecstore, "open", refuse_writes, raising=False)
+        else:  # the temporary file is written, then cannot take the cell file's name
+            monkeypatch.setattr(vecstore.os, "replace", refuse)
+        loaded = load_datastore(path)
+        assert len(builds) == 1 and loaded.index.origin == "built, not saved"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.kds", "s.manifest.json"]
+        q = self.keys()[0]
+        assert np.array_equal(query(loaded, q, 4).entry_index, query(store, q, 4).entry_index)
+
+    def test_exact_scan_store_ignores_a_cell_file(self, builds, tmp_path):
+        path = tmp_path / "s.kds"
+        save_datastore(make_store(self.keys()), path)
+        cells = vecstore.cells_path(path)
+        open(cells, "wb").write(b"not a cell file")
+        assert load_datastore(path).index.kind == "exact-scan"
+        assert open(cells, "rb").read() == b"not a cell file"
+        os.remove(cells)
+        load_datastore(path)
+        assert not os.path.exists(cells)
+        assert builds == []
+
+    def test_corrupt_file_names_itself_and_the_fix(self, tmp_path):
+        path = tmp_path / "s.kds"
+        self.save(path, self.keys())
+        load_datastore(path)
+        cells = vecstore.cells_path(path)
+        raw = open(cells, "rb").read()
+        open(cells, "wb").write(raw[:-1])
+        with pytest.raises(CorruptFileError, match="s.kds.cells.*delete"):
+            load_datastore(path)
+        os.remove(cells)
+        assert load_datastore(path).index.origin == "built"
 
 
 class TestPersistence:
