@@ -30,14 +30,11 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        try:
-            return self._ids[token]
-        except KeyError:
-            raise ValueError(f"token not in vocabulary: {token!r}") from None
-
     def encode(self, tokens: list[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+        try:
+            return list(map(self._ids.__getitem__, tokens))
+        except KeyError as e:
+            raise ValueError(f"token not in vocabulary: {e.args[0]!r}") from None
 
     def decode(self, ids: list[int]) -> list[str]:
         return [self.tokens[i] for i in ids]

@@ -240,9 +240,11 @@ class ToyBaseModel:
     fixed-dimension vector, L2-normalized unless the signed hashes cancel
     exactly, in which case it is all-zero. Each feature string is hashed
     with blake2b once per model: ``_features`` memoizes its (slot, sign) on
-    first use, so featurize, unlike next_distribution, writes to the model.
-    Concurrent callers can at worst hash one feature twice and store the
-    same pair.
+    first use, and ``_source_counts`` keeps the signed source-feature counts
+    of the last source featurized, keyed by ``tuple(source)``, so featurize,
+    unlike next_distribution, writes to the model. Both are only added to
+    or replaced whole: concurrent callers can at worst hash one feature
+    twice or count a source again, and get the same key.
     """
 
     def __init__(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
@@ -254,6 +256,7 @@ class ToyBaseModel:
         self.vocab_size = vocab_size
         self.dim = dim
         self._features = _FeatureHashes(FEATURE_HASH_SEED.to_bytes(8, "little"), dim)
+        self._source_counts = ((), [0] * dim)
         src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
         tgt_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
         sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,
@@ -318,15 +321,21 @@ class ToyBaseModel:
     def featurize(self, source: Sequence[int],
                   prefix: Sequence[int]) -> np.ndarray:
         """Hashed context key: unit L2 norm, or all-zero when the hashes cancel."""
+        key = tuple(source)
+        last = self._source_counts  # read once: another thread may replace it
+        if last[0] != key:
+            counts = [0] * self.dim
+            for slot, sign in map(self._features.__getitem__, [f"s:{tok}" for tok in key]):
+                counts[slot] += sign
+            self._source_counts = last = (key, counts)
+        counts = last[1].copy()
         prev1 = prefix[-1] if len(prefix) >= 1 else BOS_ID
         prev2 = prefix[-2] if len(prefix) >= 2 else BOS_ID
-        features = [f"s:{tok}" for tok in source]
         # unigram and bigram views of the last two prefix tokens; the bigram
         # keeps sign-cancellation collisions of the unigrams from aliasing
         # distinct contexts onto one key
-        features += (f"p1:{prev1}", f"p2:{prev2}", f"p12:{prev2},{prev1}")
-        counts = [0] * self.dim
-        for slot, sign in map(self._features.__getitem__, features):
+        for slot, sign in map(self._features.__getitem__,
+                              (f"p1:{prev1}", f"p2:{prev2}", f"p12:{prev2},{prev1}")):
             counts[slot] += sign
         vec = np.array(counts, dtype=np.float64)
         norm = np.sqrt(vec @ vec)  # a sum of squared integers: exact in any order

@@ -4,12 +4,13 @@ Targets are random word sequences; each source language renders a target
 through its own fixed word permutation, so languages are exact relabelings
 of one another. That gives the count-based toy model something learnable
 and gives cross-lingual alignment a recoverable ground truth. Every output
-is a pure function of the seed.
+is a pure function of the seed, through numpy's ``Generator`` stream.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,30 +80,35 @@ def generate(spec: ToySpec) -> ToyData:
     # targets follow a seeded first-order Markov chain, so the count-based
     # toy model has transferable bigram structure to learn
     transitions = rng.dirichlet(np.full(spec.n_words, 0.1), size=spec.n_words)
+    # each row's CDF as Generator.choice(n_words, p=row) builds it, so
+    # bisect_right (searchsorted side="right") on the same uniform draw
+    # picks the same next word, and the stream advances the same way
+    cdfs = []
+    for row in transitions:
+        cdf = row.cumsum()
+        cdf /= cdf[-1]
+        cdfs.append(cdf.tolist())
 
-    def sample_sentences(count: int) -> list[list[str]]:
+    def sample_sentences(count: int) -> list[list[int]]:
         lengths = rng.integers(spec.min_len, spec.max_len + 1, size=count)
         sentences = []
-        for n in lengths:
+        for n in lengths.tolist():
             state = int(rng.integers(0, spec.n_words))
-            sent = [words[state]]
-            for _ in range(int(n) - 1):
-                state = int(rng.choice(spec.n_words, p=transitions[state]))
-                sent.append(words[state])
+            sent = [state]
+            for u in rng.random(n - 1).tolist():
+                state = bisect_right(cdfs[state], u)
+                sent.append(state)
             sentences.append(sent)
         return sentences
 
     target_pool = sample_sentences(spec.n_train)
     test_pool = sample_sentences(spec.n_test)
-    permutations = {
-        lang: {words[i]: words[j]
-               for i, j in enumerate(rng.permutation(spec.n_words))}
-        for lang in spec.langs
-    }
+    # word id -> its word in each language
+    tables = {lang: [words[j] for j in rng.permutation(spec.n_words)]
+              for lang in spec.langs}
 
-    def render(lang: str, target: list[str]) -> list[str]:
-        table = permutations[lang]
-        return [table[w] for w in target]
+    def render(table: list[str], ids: list[int]) -> list[str]:
+        return list(map(table.__getitem__, ids))
 
     n_covered = max(1, int(round(spec.coverage * spec.n_train)))
     train = {}
@@ -112,9 +118,10 @@ def generate(spec: ToySpec) -> ToyData:
             picked = sorted(rng.choice(spec.n_train, size=n_covered, replace=False))
         else:
             picked = range(spec.n_train)
-        train[lang] = [(render(lang, target_pool[i]), list(target_pool[i]))
+        table = tables[lang]
+        train[lang] = [(render(table, target_pool[i]), render(words, target_pool[i]))
                        for i in picked]
-        test[lang] = [(render(lang, t), list(t)) for t in test_pool]
+        test[lang] = [(render(table, t), render(words, t)) for t in test_pool]
 
     bleu_rows = {}
     for lang in spec.langs:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -512,3 +514,59 @@ class TestTrajectoryOracle:
         model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=16)
         records = trajectory_records(model, [])
         assert records.dtype == record_dtype(16) and records.size == 0
+
+
+class TestFeaturizeSourceCounts:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reference_across_sources(self, data):
+        dim = data.draw(st.sampled_from([4, 16, 64]))
+        source = st.lists(st.one_of(st.integers(3, 12), st.integers(-3, 400)), max_size=7)
+        a, b = data.draw(source), data.draw(source)
+        prefix = st.lists(st.integers(0, 299), max_size=4)
+        model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=dim)
+        # alternating, then each source repeated after the other, then any order
+        order = [a, b, a, b, a, a, b, b, CANCELLING_PAIR[0], a,
+                 *data.draw(st.lists(st.sampled_from([a, b]), max_size=6))]
+        for src in order:
+            p = data.draw(prefix)
+            got = model.featurize(src, p)
+            assert got.tobytes() == reference_featurize(src, p, dim).tobytes()
+            # a tuple or an array of the same ids is the same source
+            assert model.featurize(np.array(src, dtype=np.int64), p).tobytes() == got.tobytes()
+            assert model.featurize(tuple(src), p).tobytes() == got.tobytes()
+
+    def test_cancelling_key_after_another_source(self):
+        model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=64)
+        source, prefix = CANCELLING_PAIR
+        model.featurize([3, 4, 5], [BOS_ID])
+        assert not model.featurize(source, [BOS_ID, *prefix]).any()
+        assert model.featurize([3, 4, 5], [BOS_ID]).tobytes() == \
+            reference_featurize([3, 4, 5], [BOS_ID], 64).tobytes()
+
+    def test_threads_sharing_them_get_their_own_keys(self):
+        model = ToyBaseModel(tiny_corpus(), vocab_size=10, dim=16)
+        sources = [[3, 4, 5 + i, 100 + i] for i in range(6)]
+        prefixes = [[BOS_ID], [BOS_ID, 7], [BOS_ID, 7, 9]]
+        expected = {(i, j): reference_featurize(src, p, 16).tobytes()
+                    for i, src in enumerate(sources) for j, p in enumerate(prefixes)}
+        wrong = []
+
+        def work(i):
+            for n in range(300):
+                j = n % len(prefixes)
+                if model.featurize(sources[i], prefixes[j]).tobytes() != expected[i, j]:
+                    wrong.append((i, j))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sources))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
