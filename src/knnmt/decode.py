@@ -106,28 +106,45 @@ def interpolate(p_knn: np.ndarray, p_base: np.ndarray, lam: float) -> np.ndarray
     return lam * p_knn + (1.0 - lam) * p_base
 
 
-def step_distribution(model: BaseModel, source: Sequence[int],
-                      prefix: Sequence[int], store: Datastore | None,
-                      lin_map=None, cfg: KnnConfig | None = None) -> np.ndarray:
-    """Distribution for the next token at one decoding step.
-
-    Without a store (or with lam == 0) this is the plain base distribution.
-    Otherwise the prefix is featurized, optionally mapped into the store's
-    representation space, and the retrieval distribution is interpolated in.
-    An empty retrieval falls back to the base distribution alone.
-    """
-    p_base = model.next_distribution(source, prefix)
-    if store is None or cfg is None or cfg.lam == 0.0:
-        return p_base
+def _query_vector(model: BaseModel, source: Sequence[int], prefix: Sequence[int],
+                  store: Datastore, lin_map=None) -> np.ndarray:
+    """One step's retrieval query: the featurized prefix, mapped by ``lin_map`` if given."""
     q = np.asarray(model.featurize(source, prefix), dtype=np.float64)
     if lin_map is not None:
         q = apply_map(lin_map, q)
     if q.shape != (store.dim,):
         raise DimensionMismatchError(
             f"featurizer produces d={q.shape[0]}, store has d={store.dim}")
-    k = min(cfg.k, len(store))  # tiny stores: clamp rather than fail mid-decode
+    return q
+
+
+def _retrieves(store: Datastore | None, cfg: KnnConfig | None) -> bool:
+    """Whether a step searches ``store``: there is one, and a config with lam > 0."""
+    return store is not None and cfg is not None and cfg.lam != 0.0
+
+
+def step_distribution(model: BaseModel, source: Sequence[int],
+                      prefix: Sequence[int], store: Datastore | None,
+                      lin_map=None, cfg: KnnConfig | None = None,
+                      nbrs: np.ndarray | None = None) -> np.ndarray:
+    """Distribution for the next token at one decoding step.
+
+    Without a store (or with lam == 0) this is the plain base distribution.
+    Otherwise the prefix is featurized, optionally mapped into the store's
+    representation space, and the retrieval distribution is interpolated in.
+    ``nbrs``, when given, is this step's ``query`` result, already retrieved
+    (``decode_beam`` searches all its hypotheses at once), and replaces the
+    featurizing and the search. An empty retrieval falls back to the base
+    distribution alone.
+    """
+    p_base = model.next_distribution(source, prefix)
+    if not _retrieves(store, cfg):
+        return p_base
+    if nbrs is None:
+        q = _query_vector(model, source, prefix, store, lin_map)
+        k = min(cfg.k, len(store))  # tiny stores: clamp rather than fail mid-decode
+        nbrs = query(store, q, k).view(np.ndarray)  # plain fields skip recarray's lookup
     try:
-        nbrs = query(store, q, k).view(np.ndarray)  # plain fields skip recarray's Python lookup
         p_knn = knn_distribution(nbrs["distance"], nbrs["token_id"], cfg.temperature,
                                  store.vocab_size)
     except EmptyRetrievalError:
@@ -162,7 +179,11 @@ def decode_beam(model: BaseModel, source: Sequence[int], beam_size: int, *,
     """Length-unnormalized beam search over the interpolated distribution.
 
     Finished hypotheses retire from the beam; the best finished hypothesis
-    wins, with ties broken by lexicographic token order. Implemented
+    wins, with ties broken by lexicographic token order. Each step
+    featurizes (and maps) every active hypothesis, retrieves neighbours for
+    all of them with one batched ``query``, then mixes each hypothesis's
+    distribution with ``step_distribution`` from its own neighbour rows, as
+    a search of that hypothesis alone would have found them. Implemented
     independently of decode_greedy so beam_size=1 cross-checks it.
     """
     if beam_size < 1:
@@ -172,10 +193,15 @@ def decode_beam(model: BaseModel, source: Sequence[int], beam_size: int, *,
     active = [BeamHypothesis(tokens=(), log_score=0.0, finished=False)]
     finished: list[BeamHypothesis] = []
     for _ in range(max_len):
+        prefixes = [[BOS_ID, *hyp.tokens] for hyp in active]
+        found = [None] * len(active)
+        if _retrieves(store, cfg):
+            batch = np.stack([_query_vector(model, source, prefix, store, lin_map)
+                              for prefix in prefixes])
+            found = query(store, batch, min(cfg.k, len(store))).view(np.ndarray)
         expansions: list[BeamHypothesis] = []
-        for hyp in active:
-            prefix = [BOS_ID, *hyp.tokens]
-            probs = step_distribution(model, source, prefix, store, lin_map, cfg)
+        for hyp, prefix, nbrs in zip(active, prefixes, found):
+            probs = step_distribution(model, source, prefix, store, lin_map, cfg, nbrs)
             logp = np.log(np.maximum(probs, PROB_FLOOR))
             top = np.lexsort((np.arange(logp.size), -logp))[:beam_size]
             for tok in top:

@@ -10,6 +10,7 @@ checked against the exact oracle by probing every cell.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import struct
@@ -140,10 +141,12 @@ def squared_distances(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     q64 = np.asarray(q, dtype=np.float64)
     n = keys.shape[0]
+    if n <= _CHUNK_ROWS:  # the one chunk, with no output to fill piecewise
+        chunk = keys - q64  # float64: a float32 key converts exactly
+        return np.einsum("ij,ij->i", chunk, chunk)
     out = np.empty(n, dtype=np.float64)
     for start in range(0, n, _CHUNK_ROWS):
-        chunk = keys[start:start + _CHUNK_ROWS].astype(np.float64)
-        chunk -= q64
+        chunk = keys[start:start + _CHUNK_ROWS] - q64
         out[start:start + _CHUNK_ROWS] = np.einsum("ij,ij->i", chunk, chunk)
     return out
 
@@ -171,26 +174,64 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u) if n * u < 1 else float("inf")
 
 
-def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int,
-                    spans: tuple[np.ndarray, np.ndarray] | None = None,
-                    ids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k of the rows of ``keys`` in ``spans`` as (ids, distances).
+def _key_norm_bound(norms: np.ndarray, d: int) -> float:
+    """K of ``_certified_topk``: an upper bound on the largest norm of d-dimensional keys
+    whose float32 squared norms are ``norms`` (inf or NaN when one of those is)."""
+    return float(np.sqrt(float(norms.max(initial=0.0)) * (1 + 2 * _gamma(d, _U32))))
 
-    ``spans`` is a pair of arrays ``(starts, stops)`` of row ranges, by
-    default the one range of every row; ``ids`` maps a row to the id
-    returned for it, by default the row itself. With ``rows`` the rows of
-    the spans in order, the result is
-    ``_topk(squared_distances(keys[rows], q), ids[rows], k)`` bit for bit, so
-    ties break toward the lower id, but only a shortlist is gathered and
-    rescored. Each span is ranked where it lies by the float32
-    ``approx = norms - 2 keys @ float32(q)``, which estimates
-    ``a = |k|^2 - 2 k.q = |k - q|^2 - |q|^2``. Let d be the dimension,
-    u = 2^-24, gamma_n = n u / (1 - n u), and K and Q upper bounds on the
-    largest key norm and on |q|. Then:
+
+_SAMPLE_ROWS = 4096  # fewest estimates in the strided sample that a threshold comes from
+
+
+def _limit(approx: np.ndarray, k: int, slack: float) -> np.float32:
+    """The k-th smallest of ``approx`` plus ``slack``, rounded up to a float32."""
+    limit = float(np.partition(approx, k - 1)[k - 1]) + slack
+    return np.nextafter(np.float32(limit), np.float32(np.inf))
+
+
+def _shortlist(approx: np.ndarray, k: int, slack: float) -> np.ndarray:
+    """Positions, ascending, of the estimates at most ``_limit(approx, k, slack)``.
+
+    Over many rows the whole array is not partitioned: every ``step``-th
+    estimate is, and only the candidates within ``slack`` of that sample's
+    k-th smallest are partitioned again. A subset's k-th smallest is at
+    least the whole array's, so the candidates hold every row of the
+    shortlist and the same limit follows from them.
+    """
+    step = approx.size // max(_SAMPLE_ROWS, 4 * k)
+    if step <= 1:
+        return np.flatnonzero(approx <= _limit(approx, k, slack))
+    candidates = np.flatnonzero(approx <= _limit(approx[::step], k, slack))
+    near = approx[candidates]
+    return candidates[near <= _limit(near, k, slack)]
+
+
+def _certified_topk(keys: np.ndarray, norms: np.ndarray, queries: np.ndarray, k: int,
+                    spans: tuple[np.ndarray, np.ndarray] | None = None,
+                    ids: np.ndarray | None = None,
+                    knorm: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact top-k of the rows of ``keys`` in ``spans`` for each row of ``queries``.
+
+    Returns one (ids, distances) pair per query, each of min(k, rows
+    searched) entries. ``spans`` is a pair of arrays ``(starts, stops)`` of
+    row ranges, by default the one range of every row; ``ids`` maps a row to
+    the id returned for it, by default the row itself; ``knorm`` is
+    ``_key_norm_bound(norms, d)`` when the caller keeps it. With ``rows`` the
+    rows of the spans in order, row j of the result is
+    ``_topk(squared_distances(keys[rows], queries[j]), ids[rows], k)`` bit for bit,
+    so ties break toward the lower id, but only a shortlist is gathered and
+    rescored. The rows are ranked by one float32 product laid out as
+    ``(rows, queries)``; each query's column is then scaled into a
+    contiguous vector (a lone column is one, and is scaled in place)
+    ``approx = norms - 2 keys @ float32(q)``, which
+    estimates ``a = |k|^2 - 2 k.q = |k - q|^2 - |q|^2``. Let d be the
+    dimension, u = 2^-24, gamma_n = n u / (1 - n u), and K and Q upper
+    bounds on the largest key norm and on |q|. Then:
 
     - ``norms``, a float32 reduction, is off by at most gamma_d K^2;
     - rounding q to float32 moves k.q by at most u K Q, and the float32 dot
-      product is off by at most gamma_d K Q, in any summation order;
+      product is off by at most gamma_d K Q, in any summation order (so a
+      column of a matrix product is bounded as a matrix-vector product is);
     - the final subtraction rounds once more, by at most u (K^2 + 2 K Q);
     - products that underflow add at most (d + 1)(3 + K) 2^-149.
 
@@ -201,11 +242,14 @@ def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int,
     k-th smallest ``approx``. At least k rows rescore to at most
     t + |q|^2 + E, so every row of the true top-k, ties included, has
     ``approx <= t + 2E``, and every row outside that shortlist rescores
-    strictly worse than the k-th. When K + Q exceeds 2^60 (a float32 step
-    could overflow) or is not finite (a NaN or inf key or query), every row
-    is rescored: the plain exact scan.
+    strictly worse than the k-th. ``_shortlist`` finds t from a strided
+    sample's candidates over many rows: the same t, so the same shortlist,
+    row for row. When K + Q exceeds 2^60 (a float32 step could overflow) or
+    is not finite (a NaN or inf key or query), every row is rescored for
+    that query: the plain exact scan. Such a query takes no column of the
+    product.
     """
-    q = np.asarray(q, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
     n, d = keys.shape
     if spans is not None:
         starts, stops = spans
@@ -213,29 +257,53 @@ def _certified_topk(keys: np.ndarray, norms: np.ndarray, q: np.ndarray, k: int,
         ends = np.cumsum(stops - starts)  # where each span ends in the ranking
         n = int(ends[-1])
         norms = np.concatenate([norms[s] for s in slices])
-    rows = None
+    rows_q = list(queries)  # one view per query, made once
+    slacks = [None] * len(rows_q)  # 2E of each query that ranks by the float32 product
     if k < n:
-        knorm = np.sqrt(float(norms.max()) * (1 + 2 * _gamma(d, _U32)))
-        qnorm = np.sqrt(float(q @ q)) * (1 + _gamma(d + 2, _U64))
-        if knorm + qnorm <= 2.0 ** 60:  # False for NaN and inf too
-            bound = (_gamma(d + 3, _U32) * (knorm * knorm + 2 * knorm * qnorm)
-                     + _gamma(d + 3, _U64) * (knorm + qnorm) ** 2
-                     + (d + 1) * (3 + knorm) * 2.0 ** -149)
-            q32 = q.astype(np.float32)
-            if spans is None:
-                approx = keys @ q32
-            else:  # ndarray.dot: the same sgemv as @, with less overhead per small slice
-                approx = np.concatenate([keys[s].dot(q32) for s in slices])
-            approx *= -2.0
+        if knorm is None:
+            knorm = _key_norm_bound(norms, d)
+        g32, g64 = _gamma(d + 3, _U32), _gamma(d + 3, _U64)
+        qscale, tiny = 1 + _gamma(d + 2, _U64), (d + 1) * (3 + knorm) * 2.0 ** -149
+        for j, q in enumerate(rows_q):
+            qnorm = math.sqrt(float(q @ q)) * qscale  # np.sqrt's bits, without numpy scalars
+            if knorm + qnorm <= 2.0 ** 60:  # False for NaN and inf too
+                slacks[j] = 2 * (g32 * (knorm * knorm + 2 * knorm * qnorm)
+                                 + g64 * (knorm + qnorm) ** 2 + tiny)
+    columns = len(rows_q) - slacks.count(None)
+    if columns:
+        bounded = queries if columns == len(queries) else queries[
+            [j for j, slack in enumerate(slacks) if slack is not None]]
+        q32 = bounded.astype(np.float32).T
+        if spans is None:
+            ranked = keys @ q32
+        else:  # ndarray.dot on contiguous cell keys: as @, with less overhead per small slice
+            ranked = np.concatenate([keys[s].dot(q32) for s in slices])
+    found = []
+    column = 0  # of ``ranked``: the bounded queries in order
+    for q, slack in zip(rows_q, slacks):
+        if slack is not None:
+            approx = ranked[:, column]
+            approx = np.multiply(approx, -2.0, out=approx if columns == 1 else None)
             approx += norms
-            limit = float(np.partition(approx, k - 1)[k - 1]) + 2 * bound
-            limit = np.nextafter(np.float32(limit), np.float32(np.inf))  # rounded up
-            rows = np.flatnonzero(approx <= limit)  # positions in the ranking
-    if rows is None:  # the plain exact scan
-        rows = np.arange(n, dtype=np.int64)
-    if spans is not None:  # from positions in the ranking to rows of keys
-        rows += (stops - ends)[np.searchsorted(ends, rows, side="right")]
-    return _topk(squared_distances(keys[rows], q), rows if ids is None else ids[rows], k)
+            column += 1
+            rows = _shortlist(approx, k, slack)  # positions in the ranking
+        else:  # the plain exact scan
+            rows = np.arange(n, dtype=np.int64)
+        if spans is not None:  # from positions in the ranking to rows of keys
+            rows += (stops - ends)[np.searchsorted(ends, rows, side="right")]
+        found.append(_topk(squared_distances(keys[rows], q),
+                           rows if ids is None else ids[rows], k))
+    return found
+
+
+def _stack(found: list[tuple[np.ndarray, np.ndarray]],
+           k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B, k) ids and distances from B (ids, distances) pairs of k entries each."""
+    ids = np.empty((len(found), k), dtype=np.int64)
+    dists = np.empty((len(found), k), dtype=np.float64)
+    for j, (row_ids, row_dists) in enumerate(found):
+        ids[j], dists[j] = row_ids, row_dists
+    return ids, dists
 
 
 class ExactScanIndex:
@@ -244,18 +312,27 @@ class ExactScanIndex:
     Every row is ranked by a float32 product, and only the rows within the
     certified error bound of the k-th (``_certified_topk``) are rescored in
     float64, so the result equals a float64 scan of every row, ties included.
+    A batch of queries is ranked by one product, a column per query.
     """
 
     kind = "exact-scan"
 
     def __init__(self, keys: np.ndarray):
         self._keys = keys
-        self._norms = None  # on the first search: building or loading a store stays as cheap
+        # on the first search: building or loading a store stays as cheap
+        self._norms = None
+        self._knorm = None
 
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, distances) of one query's top k, or (B, k) arrays for a (B, d) batch."""
         if self._norms is None:
             self._norms = _row_norms(self._keys)
-        return _certified_topk(self._keys, self._norms, q, k)
+            self._knorm = _key_norm_bound(self._norms, self._keys.shape[1])
+        q = np.asarray(q, dtype=np.float64)
+        if q.ndim == 1:
+            return _certified_topk(self._keys, self._norms, q[None], k, knorm=self._knorm)[0]
+        found = _certified_topk(self._keys, self._norms, q, k, knorm=self._knorm)
+        return _stack(found, min(k, len(self._keys)))
 
 
 class CellProbeIndex:
@@ -319,7 +396,9 @@ class CellProbeIndex:
         self._cell_norms = None
 
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        cdists = squared_distances(self.centroids, np.asarray(q, dtype=np.float64))
+        """(ids, distances) of one query's top k among the probed cells' entries."""
+        q = np.asarray(q, dtype=np.float64)
+        cdists = squared_distances(self.centroids, q)
         cells = np.argsort(cdists, kind="stable")  # closest first, ties by cell id
         # the n_probe closest cells, expanded until they hold k entries
         enough = int(np.searchsorted(np.cumsum(self._sizes[cells]), k)) + 1
@@ -327,8 +406,8 @@ class CellProbeIndex:
         if self._cell_keys is None:
             self._cell_keys = self._keys[self._order]
             self._cell_norms = _row_norms(self._keys)[self._order]
-        return _certified_topk(self._cell_keys, self._cell_norms, q, k,
-                               (self._bounds[cells], self._bounds[cells + 1]), self._order)
+        return _certified_topk(self._cell_keys, self._cell_norms, q[None], k,
+                               (self._bounds[cells], self._bounds[cells + 1]), self._order)[0]
 
 
 def _cell_dtype(n_cells: int) -> np.dtype:
@@ -519,13 +598,16 @@ def merge_datastores(stores: Sequence[Datastore]) -> Datastore:
 def query(store: Datastore, q: np.ndarray, k: int) -> np.recarray:
     """Return the k nearest entries by squared-L2 distance, ascending.
 
-    The result is k ``NEIGHBOR_DTYPE`` rows as a record array: its columns
-    (``.entry_index``, ``.distance``, ``.token_id``) are arrays, and each row
-    reads its fields by attribute. Equal distances break toward the lower
-    entry index.
+    ``q`` is one query of shape ``(dim,)``, or a batch of shape ``(B, dim)``.
+    The result is k ``NEIGHBOR_DTYPE`` rows as a record array, or a
+    ``(B, k)`` one whose row j is ``query(store, q[j], k)`` bit for bit: its
+    columns (``.entry_index``, ``.distance``, ``.token_id``) are arrays, and
+    each row reads its fields by attribute. Equal distances break toward the
+    lower entry index. An exact-scan store ranks a batch with one product;
+    a cell-probe store searches its rows one at a time.
     """
     qv = np.asarray(q, dtype=np.float64)
-    if qv.shape != (store.dim,):
+    if qv.ndim not in (1, 2) or qv.shape[-1] != store.dim:
         raise DimensionMismatchError(
             f"query has shape {qv.shape}, store dimension is {store.dim}")
     if k < 1:
@@ -533,8 +615,12 @@ def query(store: Datastore, q: np.ndarray, k: int) -> np.recarray:
     if k > len(store):
         raise InsufficientEntriesError(
             f"k={k} exceeds the {len(store)} stored entries")
-    idx, dists = store.index.search(qv, k)
-    nbrs = np.empty(idx.size, dtype=NEIGHBOR_DTYPE)
+    index = store.index
+    if qv.ndim == 1 or index.kind == "exact-scan":
+        idx, dists = index.search(qv, k)
+    else:
+        idx, dists = _stack([index.search(row, k) for row in qv], k)
+    nbrs = np.empty(idx.shape, dtype=NEIGHBOR_DTYPE)
     nbrs["entry_index"] = idx
     nbrs["distance"] = dists
     nbrs["token_id"] = store.token_ids[idx]

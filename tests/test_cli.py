@@ -388,6 +388,44 @@ class TestIndexBuilds:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["aa.cp.kds"]
 
 
+class TestBeamBytes:
+    """``translate --beam 4`` output bytes, pinned by blake2b-64 digest.
+
+    The beam searches all its hypotheses of a step at once; the digests were
+    computed when it searched them one at a time, so both ways give one output.
+    """
+
+    PINS = {"exact": "205f1bbf10a0edc8", "cell-probe": "d80661af0c5daa7c",
+            "map": "83316f7d4427707b"}
+
+    @pytest.mark.parametrize("setup", sorted(PINS))
+    def test_output_bytes_are_pinned(self, toy_dir, built_store, cp_stores, tmp_path, setup):
+        extra = []
+        if setup == "exact":
+            store = built_store
+        elif setup == "cell-probe":
+            store = tmp_path / "aa.cp.kds"  # a copy: the search may write its cell file
+            store.write_bytes(cp_stores["aa"].read_bytes())
+        else:
+            store = tmp_path / "bb.kds"
+            assert run("build", "--train-src", toy_dir / "bb-en.train.bb",
+                       "--train-tgt", toy_dir / "bb-en.train.en",
+                       "--vocab", toy_dir / "vocab.txt", "--src-lang", "bb",
+                       "--dim", "32", "--out", store) == 0
+            assert run("map-fit", "--src-store", built_store, "--tgt-store", store,
+                       "--alignment", toy_dir / "alignment.aa-bb.tsv",
+                       "--out", tmp_path / "aa-bb.klm") == 0
+            extra = ["--map", tmp_path / "aa-bb.klm"]
+        out = tmp_path / "beam.txt"
+        assert run("translate", "--train-src", toy_dir / "aa-en.train.aa",
+                   "--train-tgt", toy_dir / "aa-en.train.en",
+                   "--vocab", toy_dir / "vocab.txt", "--dim", "32",
+                   "--input", toy_dir / "aa-en.test.aa", "--output", out,
+                   "--lambda", "0.8", "-k", "8", "--beam", "4", "--store", store,
+                   *extra) == 0
+        assert hashlib.blake2b(out.read_bytes(), digest_size=8).hexdigest() == self.PINS[setup]
+
+
 class TestBleuCommand:
     def test_reports_score(self, tmp_path, capsys):
         hyp = tmp_path / "hyp.txt"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import sys
@@ -337,6 +338,98 @@ class TestBeam:
         model, _ = toy_setup(seed=9)
         with pytest.raises(ValueError):
             decode_beam(model, [3], 0)
+
+
+def reference_beam(model, source, beam_size, *, store=None, lin_map=None, cfg=None,
+                   max_len=64):
+    """``decode_beam`` as it was before it batched its search: one ``step_distribution``
+    call, so one search, per hypothesis."""
+    from knnmt.decode import PROB_FLOOR, BeamHypothesis
+    active = [BeamHypothesis(tokens=(), log_score=0.0, finished=False)]
+    finished = []
+    for _ in range(max_len):
+        expansions = []
+        for hyp in active:
+            prefix = [BOS_ID, *hyp.tokens]
+            probs = step_distribution(model, source, prefix, store, lin_map, cfg)
+            logp = np.log(np.maximum(probs, PROB_FLOOR))
+            top = np.lexsort((np.arange(logp.size), -logp))[:beam_size]
+            for tok in top:
+                expansions.append(BeamHypothesis(
+                    tokens=hyp.tokens + (int(tok),),
+                    log_score=hyp.log_score + float(logp[tok]),
+                    finished=int(tok) == EOS_ID,
+                ))
+        expansions.sort(key=lambda h: (-h.log_score, h.tokens))
+        active = []
+        for hyp in expansions:
+            if hyp.finished:
+                finished.append(hyp)
+            elif len(active) < beam_size:
+                active.append(hyp)
+        if not active:
+            break
+        if finished:
+            best_done = max(h.log_score for h in finished)
+            if best_done >= active[0].log_score:
+                break
+    pool = finished if finished else active
+    best = min(pool, key=lambda h: (-h.log_score, h.tokens))
+    tokens = list(best.tokens)
+    if best.finished:
+        tokens = tokens[:-1]
+    return tokens
+
+
+@functools.lru_cache(maxsize=1)
+def beam_setup():
+    """A toy model, its exact and cell-probe stores, and a near-identity map."""
+    from knnmt.align import LinearMap
+    model, pairs = toy_setup(seed=12, n=80)
+    records = trajectory_records(model, pairs)
+    stores = {kind: build_datastore(records, model.vocab_size, "xx", kind,
+                                    {"n_cells": 8, "n_probe": 2})
+              for kind in ("exact-scan", "cell-probe")}
+    rng = np.random.default_rng(12)
+    lin_map = LinearMap(np.eye(model.dim) + 0.1 * rng.normal(size=(model.dim, model.dim)),
+                        "xx", "xx", 0.0)
+    return model, pairs, stores, lin_map
+
+
+class TestBeamOracle:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_tokens_as_one_search_per_hypothesis(self, data):
+        model, pairs, stores, lin_map = beam_setup()
+        source = data.draw(st.one_of(
+            st.sampled_from([s for s, _ in pairs]),
+            st.lists(st.integers(3, model.vocab_size - 1), min_size=1, max_size=8)))
+        beam_size = data.draw(st.integers(1, 8))
+        store = data.draw(st.sampled_from([None, stores["exact-scan"], stores["cell-probe"]]))
+        cfg = KnnConfig(k=data.draw(st.integers(1, 8)),
+                        lam=data.draw(st.sampled_from([0.0, 0.3, 1.0])), temperature=10.0)
+        kwargs = dict(store=store, lin_map=data.draw(st.sampled_from([None, lin_map])),
+                      cfg=cfg, max_len=data.draw(st.integers(1, 12)))
+        assert decode_beam(model, source, beam_size, **kwargs) == \
+            reference_beam(model, source, beam_size, **kwargs)
+
+    def test_one_search_per_step_for_all_hypotheses(self):
+        model, pairs, stores, _ = beam_setup()
+        cfg = KnnConfig(k=4, lam=0.5, temperature=10.0)
+        with mock.patch.object(decode, "query", wraps=decode.query) as spy:
+            decode_beam(model, pairs[3][0], 4, store=stores["exact-scan"], cfg=cfg)
+        shapes = [call.args[1].shape for call in spy.call_args_list]
+        assert shapes[0] == (1, model.dim)
+        assert all(len(shape) == 2 and 1 <= shape[0] <= 4 for shape in shapes)
+        assert max(shape[0] for shape in shapes) == 4
+
+    def test_store_dim_mismatch(self):
+        model, pairs = toy_setup(seed=5)
+        wrong = toy_base_model(pairs, vocab_size=model.vocab_size, dim=16)
+        store = store_from_corpus(wrong, pairs)
+        cfg = KnnConfig(k=2, lam=0.5, temperature=1.0)
+        with pytest.raises(DimensionMismatchError):
+            decode_beam(model, pairs[0][0], 3, store=store, cfg=cfg)
 
 
 class ReferenceToyModel:

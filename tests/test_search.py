@@ -125,3 +125,100 @@ def test_shortlist_rescores_few_rows(monkeypatch):
         monkeypatch.undo()
         assert_same(got, want)
     assert max(rescored) < keys.shape[0] // 10
+
+
+def store_of(keys, kind, n_cells=1, n_probe=1):
+    """A store holding ``keys``, entry i with token i % 7, searched by the given index."""
+    n = keys.shape[0]
+    records = vecstore.make_records(keys, np.arange(n) % 7, np.arange(n), 0)
+    params = {"n_cells": n_cells, "n_probe": n_probe}
+    return vecstore.build_datastore(records, 7, "xx", kind, params)
+
+
+@st.composite
+def batch_cases(draw):
+    half = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    base = draw(arrays(np.float32, (half, d), elements=st.floats(-1, 1, width=32)))
+    keys = np.concatenate([base, base]) * np.float32(scale)  # every key twice: ties
+    b = draw(st.integers(1, 8))
+    queries = draw(arrays(np.float64, (b, d), elements=st.floats(-1, 1))) * scale
+    for j in draw(st.lists(st.integers(0, b - 1), max_size=2)):
+        queries[j] = keys[draw(st.integers(0, 2 * half - 1))]  # a query on a tied key
+    if b > 1 and draw(st.booleans()):
+        queries[draw(st.integers(0, b - 1))] = np.nan  # rescored in full, alone
+    k = draw(st.one_of(st.just(2 * half), st.integers(1, 2 * half)))
+    kind = draw(st.sampled_from(["exact-scan", "cell-probe"]))
+    n_cells = draw(st.integers(1, 2 * half))
+    return keys, queries, k, kind, n_cells, draw(st.integers(1, n_cells))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN query row
+@settings(deadline=None, max_examples=300)
+@given(batch_cases())
+def test_batch_query_equals_single_queries(case):
+    keys, queries, k, kind, n_cells, n_probe = case
+    store = store_of(keys, kind, n_cells, n_probe)
+    got = vecstore.query(store, queries, k)
+    assert got.shape == (queries.shape[0], k) and got.dtype == vecstore.NEIGHBOR_DTYPE
+    for j, q in enumerate(queries):
+        assert got[j].tobytes() == vecstore.query(store, q, k).tobytes()
+
+
+def test_batch_query_checks_its_shape():
+    store = store_of(np.eye(4, dtype=np.float32), "exact-scan")
+    assert vecstore.query(store, np.zeros((0, 4)), 2).shape == (0, 2)
+    for bad in (np.zeros((2, 5)), np.zeros((2, 2, 4)), np.float64(1.0)):
+        with pytest.raises(vecstore.DimensionMismatchError):
+            vecstore.query(store, bad, 2)
+
+
+def reference_shortlist(keys, q, column, k):
+    """The rows the parent's single partition passed: within 2E of the k-th estimate.
+
+    ``column`` is q's column of the batch's float32 product ``keys @ Q32.T``.
+    """
+    u32, u64 = 2.0 ** -24, 2.0 ** -53
+    d = keys.shape[1]
+
+    def gamma(m, u):
+        return m * u / (1 - m * u)
+
+    norms = np.einsum("ij,ij->i", keys, keys)
+    knorm = np.sqrt(float(norms.max()) * (1 + 2 * gamma(d, u32)))
+    qnorm = np.sqrt(float(q @ q)) * (1 + gamma(d + 2, u64))
+    bound = (gamma(d + 3, u32) * (knorm * knorm + 2 * knorm * qnorm)
+             + gamma(d + 3, u64) * (knorm + qnorm) ** 2 + (d + 1) * (3 + knorm) * 2.0 ** -149)
+    approx = column * np.float32(-2.0)
+    approx += norms
+    limit = float(np.partition(approx, k - 1)[k - 1]) + 2 * bound
+    return np.flatnonzero(approx <= np.nextafter(np.float32(limit), np.float32(np.inf)))
+
+
+@pytest.mark.parametrize("n, k", [(9000, 1), (9000, 16), (40000, 64), (5000, 16)])
+def test_sampled_threshold_passes_the_full_partition_rows(monkeypatch, n, k):
+    """Over many rows the threshold comes from a strided sample; the rows rescored are
+    exactly those the full partition passes, in order, for every query of a batch."""
+    rng = np.random.default_rng(n + k)
+    base = rng.normal(size=(n // 2, 8)).astype(np.float32)
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    # duplicated and one-ulp-apart keys: near-ties around every threshold
+    keys = as_row_view(np.concatenate([base, np.nextafter(base, np.float32(np.inf))]))
+    queries = np.concatenate([keys[[5, 77, n // 3]].astype(np.float64),
+                              rng.normal(size=(3, 8)), np.zeros((1, 8))])
+    rescored = []
+
+    def recording(rows, q):
+        rescored.append(np.array(rows))
+        return squared_distances(rows, q)
+
+    monkeypatch.setattr(vecstore, "squared_distances", recording)
+    got = ExactScanIndex(keys).search(queries, k)
+    monkeypatch.undo()
+    ranked = keys @ queries.astype(np.float32).T
+    assert len(rescored) == len(queries)
+    for j, q in enumerate(queries):
+        want = reference_shortlist(keys, q, ranked[:, j], k)
+        assert np.array_equal(rescored[j], keys[want])
+        assert_same((got[0][j], got[1][j]), full_scan(keys, q, k))
