@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteKeyError,
     SingularSystemError,
 )
-from .vecstore import (Datastore, context_rows, _check_end, _check_finite, _lang_bytes,
+from .vecstore import (Datastore, context_rows, _check_end, _finite_norms, _lang_bytes,
                        _ranges, _read_dim, _read_exact, _read_lang)
 
 KLM_MAGIC = b"KLM1\x00\x00"
@@ -173,10 +173,10 @@ def map_datastore(store: Datastore, lin_map: LinearMap) -> Datastore:
         raise DimensionMismatchError(
             f"store dimension {store.dim} does not match map dimension {lin_map.dim}")
     rows = store.rows.copy()
-    with np.errstate(over="ignore"):  # an overflow to inf is reported by _check_finite
+    with np.errstate(over="ignore"):  # an overflow to inf is reported by _finite_norms
         rows["vec"] = store.keys.astype(np.float64) @ lin_map.matrix.T  # rounded to f4 here
-    _check_finite(rows["vec"], NonFiniteKeyError)
-    return Datastore(rows, store.vocab_size, store.lang_codes, store.index_spec)
+    norms = _finite_norms(rows["vec"], NonFiniteKeyError)
+    return Datastore(rows, store.vocab_size, store.lang_codes, store.index_spec, norms)
 
 
 def save_linear_map(lin_map: LinearMap, path: str | os.PathLike) -> None:

@@ -13,6 +13,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import align, decode, features, mteval, toygen, transfer, vecstore
-from .corpus import Vocabulary, encode_pairs, load_parallel, read_sentences
+from .corpus import EncodedPairs, Vocabulary, encode_pairs, load_parallel, read_sentences
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -126,9 +127,8 @@ def _write_manifest(args: argparse.Namespace, target: str | None, fields: dict) 
     """
     if target is None:
         return
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("func", "manifest", "config")}
-    payload = {"subcommand": args.func.__name__.removeprefix("cmd_").replace("_", "-"),
+    config = {k: v for k, v in vars(args).items() if k not in ("manifest", "config")}
+    payload = {"subcommand": args.subcommand,
                "config": config,
                "seed": getattr(args, "seed", None),
                **fields}
@@ -137,8 +137,7 @@ def _write_manifest(args: argparse.Namespace, target: str | None, fields: dict) 
         f.write("\n")
 
 
-def _load_model(args) -> tuple[Vocabulary, list[tuple[list[int], list[int]]],
-                               decode.ToyBaseModel]:
+def _load_model(args) -> tuple[Vocabulary, EncodedPairs, decode.ToyBaseModel]:
     """The vocabulary, the encoded training pairs and the toy model trained on them."""
     vocab = Vocabulary.from_file(args.vocab)
     pairs = encode_pairs(load_parallel(args.train_src, args.train_tgt), vocab)
@@ -393,8 +392,7 @@ def cmd_analyze(args) -> dict:
         if lang in corpora:
             raise ValueError(f"duplicate --corpus for language {lang!r}")
         pairs = encode_pairs(load_parallel(src_path, tgt_path), vocab)
-        corpora[lang] = features.Corpus.from_lists(
-            lang, [s for s, _ in pairs], [t for _, t in pairs])
+        corpora[lang] = features.Corpus(lang, pairs.src, pairs.tgt)
     if sorted(corpora) != langs:
         raise ValueError(f"--dump languages {langs} and --corpus languages "
                          f"{sorted(corpora)} differ")
@@ -474,7 +472,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=9)
     p.add_argument("--coverage", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen_toy)
 
     p = common(sub.add_parser("build", help="build a datastore from a corpus or dump"))
     p.add_argument("--dump", default=None, help="ingest an existing RDMP1 dump")
@@ -490,12 +487,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--emit-dump", default=None,
                    help="also write the trajectory dump as RDMP1 (corpus builds only)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build)
 
     p = common(sub.add_parser("merge", help="merge datastores"))
     p.add_argument("stores", nargs="+")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_merge)
 
     p = common(sub.add_parser("map-fit", help="fit a cross-lingual linear map"))
     p.add_argument("--src-store", required=True)
@@ -504,13 +499,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                    help="TSV of sentence_id_src<TAB>sentence_id_tgt")
     p.add_argument("--ridge", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_map_fit)
 
     p = common(sub.add_parser("map-apply", help="map every key of a datastore"))
     p.add_argument("--map", required=True)
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_map_apply)
 
     p = common(sub.add_parser("translate", help="decode with optional retrieval"))
     p.add_argument("--train-src", required=True)
@@ -527,7 +520,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=32)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_translate)
 
     p = common(sub.add_parser("bleu", help="corpus BLEU over tokenized files"))
     p.add_argument("--hyp", required=True)
@@ -535,7 +527,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--smoothing", choices=["exp", "none"], default="exp")
     p.add_argument("--percent", action="store_true",
                    help="render on the 0-100 scale")
-    p.set_defaults(func=cmd_bleu)
 
     p = common(sub.add_parser("bench", help="size-vs-speed retrieval benchmark"))
     p.add_argument("stores", nargs="+")
@@ -543,7 +534,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=64)
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
 
     p = common(sub.add_parser("analyze", help="xsim/RTP/features/regression reports"))
     p.add_argument("--dump", action="append", required=True,
@@ -557,21 +547,26 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--shuffles", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_analyze)
 
     for p in sub.choices.values():  # after add_argument: its default= would win otherwise
         p.set_defaults(**(config or {}))
     return parser
 
 
+@functools.cache
+def _plain_parser() -> argparse.ArgumentParser:
+    """``build_parser()`` with no config, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _plain_parser().parse_args(argv)
     try:
         if args.config:
             config = load_config_file(args.config)
             # unknown (no attribute) or list-valued: a typed list flag would append to the file's
-            unknown = [k for k in config if k in ("func", "subcommand")
-                       or isinstance(getattr(args, k, []), list)]
+            unknown = [k for k in config
+                       if k == "subcommand" or isinstance(getattr(args, k, []), list)]
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
             for key, text in config.items():
@@ -585,7 +580,8 @@ def main(argv: list[str] | None = None) -> int:
         if manifest and os.path.isdir(manifest):  # before any output is written
             raise IsADirectoryError(f"the run manifest path names a directory: {manifest}")
         started, cpu_started = time.perf_counter(), time.process_time()
-        fields = args.func(args)
+        # looked up now, not when the parser was built
+        fields = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
         _write_manifest(args, manifest,
                         {"elapsed_seconds": time.perf_counter() - started,
                          "cpu_seconds": time.process_time() - cpu_started, **fields})

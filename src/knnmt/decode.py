@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import chain
 from typing import Protocol, Sequence
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID
+from .corpus import BOS_ID, EOS_ID, EncodedPairs, TokenRows
 from .errors import (
     DimensionMismatchError,
     EmptyRetrievalError,
@@ -232,6 +231,16 @@ def decode_beam(model: BaseModel, source: Sequence[int], beam_size: int, *,
     return tokens
 
 
+def _paths(targets: TokenRows, bos: int) -> np.ndarray:
+    """Each target sentence behind ``bos`` begin tokens and before one end token, concatenated."""
+    lengths = targets.lengths
+    ends = np.cumsum(lengths + bos + 1)
+    paths = np.full(int(lengths.sum()) + (bos + 1) * lengths.size, BOS_ID, dtype=np.int64)
+    paths[ends - 1] = EOS_ID
+    paths[_ranges(ends - lengths - 1, lengths)] = targets.ids
+    return paths
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the elements that differ from their predecessor (the first always does)."""
     starts = np.ones(values.size, dtype=bool)
@@ -273,7 +282,7 @@ class ToyBaseModel:
     twice or count a source again, and get the same key.
     """
 
-    def __init__(self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+    def __init__(self, pairs: EncodedPairs | Sequence[tuple[Sequence[int], Sequence[int]]],
                  vocab_size: int, dim: int = 64):
         if not pairs:
             raise UntrainedModelError("toy model needs a non-empty corpus")
@@ -283,12 +292,10 @@ class ToyBaseModel:
         self.dim = dim
         self._features = _FeatureHashes(FEATURE_HASH_SEED.to_bytes(8, "little"), dim)
         self._source_counts = ((), [0] * dim)
-        src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
-        tgt_lens = np.array([len(t) for _, t in pairs], dtype=np.int64)
-        sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,
-                              int(src_lens.sum()))
-        paths = np.fromiter(chain.from_iterable((BOS_ID, *t, EOS_ID) for _, t in pairs),
-                            np.int64, int(tgt_lens.sum()) + 2 * len(pairs))
+        pairs = EncodedPairs.of(pairs)
+        src_lens, tgt_lens = pairs.src.lengths, pairs.tgt.lengths
+        sources = pairs.src.ids
+        paths = _paths(pairs.tgt, 1)
         if not 0 <= paths.min() <= paths.max() < vocab_size:
             raise DimensionMismatchError(
                 f"a target or special token lies outside the vocabulary of {vocab_size}")
@@ -386,9 +393,10 @@ class _FeatureHashes(dict):
         return hit
 
 
-def toy_base_model(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+def toy_base_model(pairs: EncodedPairs | Sequence[tuple[Sequence[int], Sequence[int]]],
                    vocab_size: int, dim: int = 64) -> ToyBaseModel:
-    """Train the count-based toy model on aligned token-id pairs."""
+    """Train the count-based toy model on aligned token-id pairs, as ``encode_pairs``
+    returns them or as a sequence of (source ids, target ids)."""
     return ToyBaseModel(pairs, vocab_size=vocab_size, dim=dim)
 
 
@@ -403,34 +411,37 @@ def _slots_signs(features: _FeatureHashes, names: list[str],
 
 
 def trajectory_records(model: ToyBaseModel,
-                       pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> np.ndarray:
+                       pairs: EncodedPairs | Sequence[tuple[Sequence[int], Sequence[int]]]
+                       ) -> np.ndarray:
     """Teacher-forced (featurize, token) records of a corpus, as ``record_dtype`` rows.
 
-    Pair i gives one record per target position plus the end-of-sequence
-    step, with sentence id i, so a datastore built from these can reproduce
-    full trajectories at lam=1. Every key is ``model.featurize(source,
-    prefix)`` bit for bit: the signed hash counts are integers, exact in any
-    order, so each sentence's source part is summed once and each step adds
-    its three prefix features to it. Keys are made a slice of sentences at a
-    time, straight into the returned rows.
+    ``pairs`` is ``encode_pairs``'s result or a sequence of (source ids,
+    target ids). Pair i gives one record per target position plus the
+    end-of-sequence step, with sentence id i, so a datastore built from these
+    can reproduce full trajectories at lam=1. Every key is
+    ``model.featurize(source, prefix)`` bit for bit: the signed hash counts
+    are integers, exact in any order, so each sentence's source part is
+    summed once and each step adds its three prefix features to it. Keys are
+    made a slice of sentences at a time, straight into the returned rows.
 
     Raises MalformedDumpError for more than 2^32 sentences or a target of
     more than 65,535 tokens, which a record's u32 ``sid`` or u16 ``ts``
     cannot number.
     """
     dim = model.dim
-    src_lens = np.array([len(s) for s, _ in pairs], dtype=np.int64)
-    steps = np.array([len(t) + 1 for _, t in pairs], dtype=np.int64)
-    longest = int(steps.max(initial=1)) - 1
-    if len(pairs) > 2**32 or longest > 65535:
-        raise MalformedDumpError(f"{len(pairs)} sentences, the longest target {longest} tokens; "
-                                 "records number at most 2^32 and 65,535 of them")
-    sources = np.fromiter(chain.from_iterable(s for s, _ in pairs), np.int64,
-                          int(src_lens.sum()))
+    if len(pairs) > 2**32:  # before the conversion, which would hold every one of them
+        raise MalformedDumpError(f"{len(pairs)} sentences; records number at most 2^32 of them")
+    pairs = EncodedPairs.of(pairs)
+    src_lens = pairs.src.lengths
+    steps = pairs.tgt.lengths + 1
+    longest = int(pairs.tgt.lengths.max(initial=0))
+    if longest > 65535:
+        raise MalformedDumpError(f"the longest target has {longest} tokens; "
+                                 "records number at most 65,535 of them")
+    sources = pairs.src.ids
     # pair i's path <bos> <bos> t_1 .. t_n <eos>: step j reads prev2, prev1
     # and its token at path[j], path[j + 1] and path[j + 2]
-    paths = np.fromiter(chain.from_iterable((BOS_ID, BOS_ID, *t, EOS_ID) for _, t in pairs),
-                        np.int64, int(steps.sum()) + 2 * len(pairs))
+    paths = _paths(pairs.tgt, 2)
     records = np.empty(int(steps.sum()), dtype=record_dtype(dim))
     sentence = np.repeat(np.arange(len(pairs), dtype=np.int64), steps)
     row_ends = np.cumsum(steps)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import TokenRows
 from .errors import (
     EmptyInputError,
     IncompleteTableError,
@@ -41,35 +42,39 @@ RIDGE_FALLBACK_FACTOR = 1e-6
 class Corpus:
     """One language's parallel data: source sentences aligned to pivot targets.
 
-    A target sentence is its own identity: rows of two corpora with the same
+    Each side is one ``TokenRows`` CSR pair, as ``encode_pairs`` gives it. A
+    target sentence is its own identity: rows of two corpora with the same
     target sentence are multi-parallel rows.
     """
 
     lang: str
-    source_sentences: tuple[tuple[int, ...], ...]
-    target_sentences: tuple[tuple[int, ...], ...]
+    sources: TokenRows
+    targets: TokenRows
 
     def __post_init__(self):
-        if len(self.source_sentences) < 1:
+        if len(self.sources) < 1:
             raise EmptyInputError(f"corpus {self.lang!r} has no sentences")
-        if len(self.source_sentences) != len(self.target_sentences):
+        if len(self.sources) != len(self.targets):
             raise ValueError(
                 f"corpus {self.lang!r}: source and target sides disagree in length")
 
     @classmethod
     def from_lists(cls, lang: str, sources: Sequence[Sequence[int]],
                    targets: Sequence[Sequence[int]]) -> "Corpus":
-        return cls(lang=lang,
-                   source_sentences=tuple(tuple(s) for s in sources),
-                   target_sentences=tuple(tuple(t) for t in targets))
+        return cls(lang, TokenRows.from_lists(sources), TokenRows.from_lists(targets))
 
     @property
     def size(self) -> int:
-        return len(self.source_sentences)
+        return len(self.sources)
 
     @cached_property
     def vocab_used(self) -> frozenset[int]:
-        return frozenset(tok for sent in self.source_sentences for tok in sent)
+        return frozenset(np.unique(self.sources.ids).tolist())
+
+    @cached_property
+    def target_sentences(self) -> tuple[tuple[int, ...], ...]:
+        ids, offsets = self.targets.ids.tolist(), self.targets.offsets.tolist()
+        return tuple(tuple(ids[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
 
     @cached_property
     def target_set(self) -> frozenset[tuple[int, ...]]:

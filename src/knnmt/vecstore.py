@@ -312,21 +312,23 @@ class ExactScanIndex:
     Every row is ranked by a float32 product, and only the rows within the
     certified error bound of the k-th (``_certified_topk``) are rescored in
     float64, so the result equals a float64 scan of every row, ties included.
-    A batch of queries is ranked by one product, a column per query.
+    A batch of queries is ranked by one product, a column per query. The
+    keys' float32 squared norms are ``norms`` when given (a store keeps those
+    its finiteness check computed), else computed on the first search.
     """
 
     kind = "exact-scan"
 
-    def __init__(self, keys: np.ndarray):
+    def __init__(self, keys: np.ndarray, norms: np.ndarray | None = None):
         self._keys = keys
-        # on the first search: building or loading a store stays as cheap
-        self._norms = None
-        self._knorm = None
+        self._norms = norms
+        self._knorm = None  # on the first search, with the norms when there are none yet
 
     def search(self, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(ids, distances) of one query's top k, or (B, k) arrays for a (B, d) batch."""
-        if self._norms is None:
-            self._norms = _row_norms(self._keys)
+        if self._knorm is None:
+            if self._norms is None:
+                self._norms = _row_norms(self._keys)
             self._knorm = _key_norm_bound(self._norms, self._keys.shape[1])
         q = np.asarray(q, dtype=np.float64)
         if q.ndim == 1:
@@ -350,7 +352,8 @@ class CellProbeIndex:
     cell id, or more until they hold k entries; probing every cell
     reproduces the exact scan, tie-breaks included. Each probed cell is one
     contiguous slice of ``_cell_keys``, the keys in ``_order``, which the
-    first search copies with their norms; ``_keys`` stays the store's keys.
+    first search copies with their norms (gathered from ``norms`` when
+    given, as ``ExactScanIndex`` takes them); ``_keys`` stays the store's keys.
     The probed slices go through the same certified float32 shortlist as
     ``ExactScanIndex`` (``_certified_topk``), so the result equals a float64
     scan of every probed entry, ties broken by entry id. ``origin`` says
@@ -362,29 +365,30 @@ class CellProbeIndex:
     kind = "cell-probe"
 
     def __init__(self, keys: np.ndarray, n_cells: int, n_probe: int,
-                 train_size: int = DEFAULT_TRAIN_SIZE):
+                 train_size: int = DEFAULT_TRAIN_SIZE, norms: np.ndarray | None = None):
         if n_cells < 1 or n_probe < 1:
             raise ValueError("n_cells and n_probe must be positive")
         started = time.perf_counter()
         centroids = _initial_centroids(keys, n_cells)
         centroids = _refine_centroids(centroids, keys[:max(train_size, 1)])
-        self._set_cells(keys, n_probe, centroids, _assign_cells(keys, centroids))
+        self._set_cells(keys, n_probe, centroids, _assign_cells(keys, centroids), norms)
         self.origin = "built"
         self.build_seconds = time.perf_counter() - started
 
     @classmethod
     def from_cells(cls, keys: np.ndarray, n_probe: int, centroids: np.ndarray,
-                   cells: np.ndarray) -> CellProbeIndex:
+                   cells: np.ndarray, norms: np.ndarray | None = None) -> CellProbeIndex:
         """The index whose k-means run gave ``centroids`` and each key's cell, ``cells``."""
         index = cls.__new__(cls)  # no __init__: that is the k-means run
-        index._set_cells(keys, n_probe, centroids, cells)
+        index._set_cells(keys, n_probe, centroids, cells, norms)
         index.origin = "read"
         index.build_seconds = 0.0
         return index
 
     def _set_cells(self, keys: np.ndarray, n_probe: int, centroids: np.ndarray,
-                   cells: np.ndarray) -> None:
+                   cells: np.ndarray, norms: np.ndarray | None) -> None:
         self._keys = keys
+        self._norms = norms
         self.n_probe = n_probe
         self.centroids = centroids
         self.n_cells = centroids.shape[0]
@@ -405,7 +409,8 @@ class CellProbeIndex:
         cells = cells[:min(max(self.n_probe, enough), self.n_cells)]
         if self._cell_keys is None:
             self._cell_keys = self._keys[self._order]
-            self._cell_norms = _row_norms(self._keys)[self._order]
+            norms = _row_norms(self._keys) if self._norms is None else self._norms
+            self._cell_norms = norms[self._order]
         return _certified_topk(self._cell_keys, self._cell_norms, q[None], k,
                                (self._bounds[cells], self._bounds[cells + 1]), self._order)[0]
 
@@ -462,10 +467,10 @@ def _assign_cells(keys: np.ndarray, centroids: np.ndarray,
     return assign
 
 
-def _build_index(keys: np.ndarray, spec: IndexSpec):
+def _build_index(keys: np.ndarray, spec: IndexSpec, norms: np.ndarray | None):
     if spec.kind == "exact-scan":
-        return ExactScanIndex(keys)
-    return CellProbeIndex(keys, spec.n_cells, spec.n_probe, spec.train_size)
+        return ExactScanIndex(keys, norms)
+    return CellProbeIndex(keys, spec.n_cells, spec.n_probe, spec.train_size, norms)
 
 
 class Datastore:
@@ -478,14 +483,17 @@ class Datastore:
     which ``query`` makes, so building, merging, mapping or saving a store
     runs no k-means. ``read_datastore`` returns a store whose index is not
     built yet; ``load_datastore`` sets it before returning, for a cell-probe
-    store from the store's cell file when a valid one exists. The index's
-    first search adds its row norms and, for a cell-probe index, its
-    cell-ordered copy of the keys. None of these is built under a lock; the
-    program searches a store from one thread.
+    store from the store's cell file when a valid one exists. ``norms``, when
+    given, are the keys' float32 squared norms (``_finite_norms``), which the
+    index then takes instead of computing its own on its first search; a
+    cell-probe index's first search still adds its cell-ordered copy of the
+    keys. None of these is built under a lock; the program searches a store
+    from one thread.
     """
 
     def __init__(self, rows: np.ndarray, vocab_size: int,
-                 lang_codes: tuple[str, ...], index_spec: IndexSpec):
+                 lang_codes: tuple[str, ...], index_spec: IndexSpec,
+                 norms: np.ndarray | None = None):
         rows.flags.writeable = False
         self.rows = rows
         self.dim = rows.dtype["vec"].shape[0]
@@ -497,6 +505,7 @@ class Datastore:
         self.lang_codes = lang_codes
         self.lang_indices = rows["lang"]
         self.index_spec = index_spec
+        self.norms = norms
         counts = np.bincount(self.lang_indices, minlength=len(lang_codes))
         self.languages = {code: int(counts[i]) for i, code in enumerate(lang_codes)}
 
@@ -506,24 +515,34 @@ class Datastore:
     @cached_property
     def index(self):
         """The ``ExactScanIndex`` or ``CellProbeIndex`` of ``index_spec``, built once."""
-        return _build_index(self.keys, self.index_spec)
+        return _build_index(self.keys, self.index_spec, self.norms)
 
 
-def _check_finite(keys: np.ndarray, error) -> None:
-    """Raise ``error`` when a key has a NaN or inf component."""
-    for start in range(0, keys.shape[0], _CHUNK_ROWS):  # no mask of the whole store at once
-        if not np.isfinite(keys[start:start + _CHUNK_ROWS]).all():
-            raise error("a key has a NaN or inf component")
+def _finite_norms(keys: np.ndarray, error) -> np.ndarray:
+    """The keys' float32 squared norms (``_row_norms``); raise ``error`` when a key has
+    a NaN or inf component.
+
+    Such a key's norm is NaN or inf, so only the rows whose norm is not
+    finite are scanned element by element: a finite key whose squared norm
+    overflows float32 passes.
+    """
+    norms = _row_norms(keys)
+    odd = ~np.isfinite(norms)
+    if odd.any() and not np.isfinite(keys[odd]).all():
+        raise error("a key has a NaN or inf component")
+    return norms
 
 
 def _check_columns(dim: int, keys: np.ndarray, token_ids: np.ndarray, vocab_size: int,
-                   error) -> None:
-    """Raise ``error`` for a bad dimension, a NaN or inf key, or an out-of-vocabulary token."""
+                   error) -> np.ndarray:
+    """The keys' ``_finite_norms``; raise ``error`` for a bad dimension, a NaN or inf key,
+    or an out-of-vocabulary token."""
     if dim < 1:
         raise error(f"dimension must be positive, got {dim}")
-    _check_finite(keys, error)
+    norms = _finite_norms(keys, error)
     if token_ids.size and int(token_ids.max()) >= vocab_size:
         raise error(f"token id {int(token_ids.max())} outside the vocabulary of {vocab_size}")
+    return norms
 
 
 def build_datastore(records: np.ndarray, vocab_size: int, lang: str,
@@ -541,14 +560,14 @@ def build_datastore(records: np.ndarray, vocab_size: int, lang: str,
     dim = vec_field[0].shape[0] if vec_field else 0
     if records.dtype != record_dtype(dim):
         raise MalformedDumpError(f"records have dtype {records.dtype}, not a record dtype")
-    _check_columns(dim, records["vec"], records["tok"], vocab_size, MalformedDumpError)
+    norms = _check_columns(dim, records["vec"], records["tok"], vocab_size, MalformedDumpError)
     if records.size == 0:
         raise EmptyDatastoreError("dump contains no records")
     rows = np.zeros(records.size, dtype=store_dtype(dim))  # every entry in language 0
     for name in records.dtype.names:
         rows[name] = records[name]
     return Datastore(rows, vocab_size, (lang,),
-                     _index_spec(index_kind, index_params, records.size))
+                     _index_spec(index_kind, index_params, records.size), norms)
 
 
 def _index_spec(kind: str, params: dict | None, n_entries: int) -> IndexSpec:
@@ -567,7 +586,7 @@ def merge_datastores(stores: Sequence[Datastore]) -> Datastore:
 
     Duplicate (vector, token) entries across source languages are kept.
     The merged store takes the first store's index spec; its index is built
-    on its first search.
+    on its first search. It keeps the stores' key norms when each has them.
     """
     if not stores:
         raise EmptyInputError("no stores to merge")
@@ -592,7 +611,9 @@ def merge_datastores(stores: Sequence[Datastore]) -> Datastore:
         parts.append(remap[s.lang_indices])
     rows = np.concatenate([s.rows for s in stores])
     rows["lang"] = np.concatenate(parts)
-    return Datastore(rows, first.vocab_size, tuple(lang_codes), first.index_spec)
+    norms = [s.norms for s in stores]
+    return Datastore(rows, first.vocab_size, tuple(lang_codes), first.index_spec,
+                     None if any(n is None for n in norms) else np.concatenate(norms))
 
 
 def query(store: Datastore, q: np.ndarray, k: int) -> np.recarray:
@@ -663,12 +684,17 @@ def _bytes_left(f) -> int:
     return os.fstat(f.fileno()).st_size - f.tell()
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    """Read exactly n bytes; a size beyond the end of the file is corruption."""
+def _check_left(f, n: int, what: str) -> None:
+    """Raise CorruptFileError when fewer than n bytes are left to read."""
     left = _bytes_left(f)
     if n > left:
         raise CorruptFileError(f"truncated while reading {what}: "
                                f"needs {n} bytes, {left} left")
+
+
+def _read_exact(f, n: int, what: str) -> bytes:
+    """Read exactly n bytes; a size beyond the end of the file is corruption."""
+    _check_left(f, n, what)
     return f.read(n)
 
 
@@ -703,10 +729,21 @@ def _check_end(f) -> None:
 
 
 def _read_rows(f, dtype: np.dtype) -> np.ndarray:
-    """Read a u64 row count, then read-only rows that must end the file."""
+    """Read a u64 row count, then read-only rows that must end the file.
+
+    The rows are read straight into one numpy buffer; a size beyond the end
+    of the file, or a read that stops short of it, is corruption.
+    """
     (count,) = struct.unpack("<Q", _read_exact(f, 8, "record count"))
-    rows = np.frombuffer(_read_exact(f, count * dtype.itemsize, "records"), dtype=dtype)
+    n = count * dtype.itemsize
+    _check_left(f, n, "records")
+    raw = np.empty(n, dtype=np.uint8)
+    got = f.readinto(raw)
+    if got != n:
+        raise CorruptFileError(f"truncated while reading records: read {got} of {n} bytes")
     _check_end(f)
+    rows = raw.view(dtype)
+    rows.flags.writeable = False
     return rows
 
 
@@ -798,18 +835,18 @@ def read_datastore(path: str | os.PathLike) -> Datastore:
         raise EmptyDatastoreError(f"{path}: datastore holds no entries")
     if kind_code == 1 and n_cells > rows.size:
         raise CorruptFileError(f"{path}: {n_cells} cells for {rows.size} entries")
-    _check_columns(dim, rows["vec"], rows["tok"], vocab_size, CorruptFileError)
+    norms = _check_columns(dim, rows["vec"], rows["tok"], vocab_size, CorruptFileError)
     if int(rows["lang"].max()) >= n_langs:
         raise CorruptFileError(f"{path}: entry references an undeclared language")
-    actual = np.bincount(rows["lang"], minlength=n_langs)
-    if list(actual) != declared_counts:
-        raise CorruptFileError(f"{path}: provenance table disagrees with entries")
     if kind_code == 0:
         spec = IndexSpec(kind="exact-scan")
     else:
         spec = IndexSpec(kind="cell-probe", n_cells=n_cells, n_probe=n_probe,
                          train_size=train_size)
-    return Datastore(rows, vocab_size, tuple(lang_codes), spec)
+    store = Datastore(rows, vocab_size, tuple(lang_codes), spec, norms)
+    if list(store.languages.values()) != declared_counts:  # the store's own count
+        raise CorruptFileError(f"{path}: provenance table disagrees with entries")
+    return store
 
 
 def cells_path(path: str | os.PathLike) -> str:
@@ -862,7 +899,8 @@ def _read_cells(path: str, store: Datastore, rows_crc: int) -> CellProbeIndex | 
             len(store), store.dim, spec.n_cells, spec.train_size, rows_crc):
         return None
     return CellProbeIndex.from_cells(store.keys, spec.n_probe,
-                                     centroids.reshape(n_centroids, dim).copy(), cells)
+                                     centroids.reshape(n_centroids, dim).copy(), cells,
+                                     store.norms)
 
 
 def _write_cells(path: str, store: Datastore, rows_crc: int, index: CellProbeIndex) -> None:
@@ -897,10 +935,11 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     builds it here and the cell file is written (or overwritten) for later
     loads. A failed write leaves the index built, marked ``"built, not saved"``.
     A corrupt cell file raises CorruptFileError. An exact-scan store has no
-    cell file. The first search still adds the index's row norms and, for a
-    cell-probe index, its cell-ordered key copy: a store that is loaded and
-    never searched holds no second set of keys. The store's checks and
-    errors are ``read_datastore``'s.
+    cell file. The index takes the key norms that ``read_datastore``'s
+    finiteness check computed. The first search of a cell-probe index still
+    adds its cell-ordered key copy: a store that is loaded and never searched
+    holds no second set of keys. The store's checks and errors are
+    ``read_datastore``'s.
     """
     store = read_datastore(path)
     if store.index_spec.kind == "cell-probe":

@@ -658,7 +658,7 @@ class TestExitCodes:
         def broken(args):
             raise RuntimeError("invariant violated")
 
-        # build_parser resolves the command from module globals at call time
+        # main resolves the command from module globals at call time
         monkeypatch.setattr(cli, "cmd_gen_toy", broken)
         assert cli.main(["gen-toy", "--out", str(tmp_path / "x"),
                          "--langs", "aa"]) == 4
@@ -815,6 +815,52 @@ class TestConfigFile:
         assert capsys.readouterr().out.startswith("BLEU = 100.0000")
         manifest = json.loads((tmp_path / "1").read_text())
         assert manifest["subcommand"] == "bleu" and manifest["config"]["percent"] is True
+
+
+class TestParserBuiltOnce:
+    """``main`` parses with one config-less parser per process; its runs share no state."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The parsed arguments of each translate and analyze run, which do nothing else."""
+        calls = []
+
+        def record(args):
+            calls.append(vars(args).copy())
+            return {}
+
+        # main runs the module's command of the parsed name, so the patch is seen
+        monkeypatch.setattr(cli, "cmd_translate", record)
+        monkeypatch.setattr(cli, "cmd_analyze", record)
+        return calls
+
+    @staticmethod
+    def translate(tmp_path, *argv):
+        return run("translate", "--train-src", "s", "--train-tgt", "t", "--vocab", "v",
+                   "--input", "i", "--output", tmp_path / "out.txt", *argv)
+
+    def test_append_flags_do_not_leak(self, seen, tmp_path):
+        assert self.translate(tmp_path, "--store", "a.kds", "--store", "b.kds") == 0
+        assert self.translate(tmp_path, "--store", "c.kds") == 0
+        assert self.translate(tmp_path) == 0
+        assert [c["store"] for c in seen] == [["a.kds", "b.kds"], ["c.kds"], []]
+        analyze = ["analyze", "--dump", "x.rdmp", "--bleu-table", "b", "--vocab", "v",
+                   "--out", tmp_path / "r", "--manifest", tmp_path / "m.json"]
+        assert run(*analyze, "--corpus", "aa", "s", "t", "--corpus", "bb", "s", "t") == 0
+        assert run(*analyze, "--corpus", "cc", "s", "t") == 0
+        assert [(c["dump"], c["corpus"]) for c in seen[3:]] == [
+            (["x.rdmp"], [["aa", "s", "t"], ["bb", "s", "t"]]),
+            (["x.rdmp"], [["cc", "s", "t"]])]
+        assert cli._plain_parser() is cli._plain_parser()
+
+    def test_config_runs_keep_their_own_defaults(self, seen, tmp_path):
+        five, seven = tmp_path / "five.conf", tmp_path / "seven.conf"
+        five.write_text("k=5\nbeam=3\n")
+        seven.write_text("k=7\n")
+        for argv in (["--config", five], [], ["--config", seven], ["--config", five], []):
+            assert self.translate(tmp_path, *argv) == 0
+        assert [(c["k"], c["beam"]) for c in seen] == [(5, 3), (16, 1), (7, 1), (5, 3),
+                                                      (16, 1)]
 
 
 @pytest.fixture(scope="module")

@@ -6,9 +6,13 @@ never anything else; fields the header contradicts raise CorruptFileError.
 KDS1 files go through both ``load_datastore`` and ``read_datastore`` (the
 "KDS1-read" cases), which must make the same checks. A cell file that
 ``load_datastore`` wrote beside a cell-probe store raises CorruptFileError
-under every truncation, flipped byte and contradicting field.
+under every truncation, flipped byte and contradicting field. Rows are read
+straight into numpy buffers: a read that stops short raises CorruptFileError,
+the rows are read-only, and a store keeps the key norms its finiteness check
+computed for its index's searches.
 """
 
+import io
 import struct
 import zlib
 
@@ -18,17 +22,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knnmt.align import LinearMap, load_linear_map, save_linear_map
+from knnmt import vecstore
 from knnmt.errors import CorruptFileError, KnnmtError
 from knnmt.vecstore import (
+    Datastore,
     DumpHeader,
     build_datastore,
     cells_path,
     load_datastore,
     make_records,
     merge_datastores,
+    query,
     read_datastore,
     read_dump,
     save_datastore,
+    squared_distances,
     write_dump,
 )
 
@@ -200,3 +208,95 @@ def test_contradicting_cell_field_rejected(cell_file, case):
         f.write(variant)
     with pytest.raises(CorruptFileError, match="delete this cell file"):
         load_datastore(path)
+
+
+class ShortReader(io.BufferedReader):
+    """A file whose ``readinto`` stops one byte short of the buffer it is given."""
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        return super().readinto(view[:len(view) - 1])
+
+
+@pytest.mark.parametrize("fmt", ["RDMP1", "KDS1", "KDS1-read"])
+def test_short_read_of_the_rows_raises(tmp_path, monkeypatch, fmt):
+    write, load = FORMATS[fmt]
+    path = tmp_path / "file.bin"
+    write(path)
+    monkeypatch.setattr(vecstore, "open", lambda file, mode="r": ShortReader(io.FileIO(file)),
+                        raising=False)
+    with pytest.raises(CorruptFileError, match="truncated while reading records: read"):
+        load(path)
+
+
+def test_rows_read_are_read_only(tmp_path):
+    write_rdmp(tmp_path / "d.rdmp")
+    write_kds(tmp_path / "s.kds")
+    for rows in (read_dump(tmp_path / "d.rdmp")[1], read_datastore(tmp_path / "s.kds").rows,
+                 load_datastore(tmp_path / "s.kds").rows):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows["tok"][0] = 1
+
+
+def saved_store(path, keys, kind, vocab_size=50, n_cells=4, n_probe=4):
+    rng = np.random.default_rng(len(keys))
+    rows = make_records(keys, rng.integers(vocab_size, size=len(keys)), np.arange(len(keys)), 0)
+    save_datastore(build_datastore(rows, vocab_size, "aa", index_kind=kind,
+                                   index_params={"n_cells": n_cells, "n_probe": n_probe}),
+                   path)
+    return path
+
+
+KINDS = ["exact-scan", "cell-probe"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_key_whose_squared_norm_overflows_loads(tmp_path, kind):
+    # 1e20 is a finite float32; its square is not. Every cell is probed, so both
+    # indexes must return the plain scan: every row rescored, ties by entry index.
+    rng = np.random.default_rng(3)
+    keys = rng.normal(size=(60, 4))
+    keys[7, 2] = 1e20
+    store = load_datastore(saved_store(tmp_path / "big.kds", keys, kind))
+    assert np.isinf(store.norms[7]) and np.isfinite(np.delete(store.norms, 7)).all()
+    for q in [*rng.normal(size=(4, 4)), store.keys[7], store.keys[8]]:
+        dists = squared_distances(store.keys, q)
+        order = np.lexsort((np.arange(dists.size), dists))[:5]
+        got = query(store, q, 5)
+        assert got.entry_index.tolist() == order.tolist()
+        assert got.distance.tobytes() == dists[order].tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_key_in_the_file_raises(tmp_path, value):
+    path = saved_store(tmp_path / "s.kds", np.random.default_rng(4).normal(size=(9, 4)),
+                       "exact-scan")
+    raw = path.read_bytes()
+    row = 12 + 4 * 4  # KDS1: sid, ts, tok and lang, then the key
+    at = len(raw) - row - 4 * 4 + 2 * 4  # the third component of the second-to-last key
+    path.write_bytes(raw[:at] + struct.pack("<f", value) + raw[at + 4:])
+    for load in (read_datastore, load_datastore):
+        with pytest.raises(CorruptFileError, match="NaN or inf"):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_loaded_norms_search_as_an_index_computing_its_own(tmp_path, kind, monkeypatch):
+    rng = np.random.default_rng(8)
+    path = saved_store(tmp_path / "s.kds", rng.normal(size=(3000, 16)), kind,
+                       n_cells=8, n_probe=3)
+    load_datastore(path)  # writes the cell file
+    loaded = load_datastore(path)
+    own = Datastore(loaded.rows.copy(), loaded.vocab_size, loaded.lang_codes,
+                    loaded.index_spec)
+    assert own.norms is None
+    queries = [*rng.normal(size=(12, 16)), *loaded.keys[:4]]
+    expected = [query(own, q, 8).tobytes() for q in queries]
+
+    def recomputed(keys):
+        raise AssertionError("the index computed the norms the store keeps")
+
+    monkeypatch.setattr(vecstore, "_row_norms", recomputed)
+    assert [query(loaded, q, 8).tobytes() for q in queries] == expected
+    assert query(loaded, np.stack(queries), 8).tobytes() == b"".join(expected)
