@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -72,14 +71,41 @@ class Corpus:
         return frozenset(np.unique(self.sources.ids).tolist())
 
     @cached_property
-    def target_sentences(self) -> tuple[tuple[int, ...], ...]:
-        ids, offsets = self.targets.ids.tolist(), self.targets.offsets.tolist()
-        return tuple(tuple(ids[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
+    def target_set(self) -> np.ndarray:
+        """The distinct target sentences, one int64 row each: the sentence's length, its
+        ids, then zeros. Those two corpora share are multi-parallel.
 
-    @cached_property
-    def target_set(self) -> frozenset[tuple[int, ...]]:
-        """The distinct target sentences; those two corpora share are multi-parallel."""
-        return frozenset(self.target_sentences)
+        The rows are sorted as ``_as_void`` views, so that ``_shared_targets``
+        can merge two corpora's rows without sorting either again.
+        """
+        lengths = self.targets.lengths
+        rows = np.zeros((lengths.size, 1 + int(lengths.max())), dtype=np.int64)
+        rows[:, 0] = lengths
+        rows[:, 1:][np.arange(rows.shape[1] - 1) < lengths[:, None]] = self.targets.ids
+        distinct = np.unique(_as_void(rows, rows.shape[1]))
+        return distinct.view(np.int64).reshape(-1, rows.shape[1])
+
+
+def _as_void(rows: np.ndarray, width: int) -> np.ndarray:
+    """Int64 rows padded with zeros to ``width`` columns, each viewed as one void scalar:
+    rows are then compared and sorted whole, byte by byte. Padding keeps their order."""
+    if rows.shape[1] < width:
+        rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+    return rows.view(np.dtype((np.void, 8 * width))).ravel()
+
+
+def _shared_targets(c1: Corpus, c2: Corpus) -> np.ndarray:
+    """The distinct target sentences both corpora hold, as rows of ``Corpus.target_set``.
+
+    Each corpus's rows are distinct and sorted, so a row of both is a pair
+    of equal neighbours once the two are merged.
+    """
+    t1, t2 = c1.target_set, c2.target_set
+    width = max(t1.shape[1], t2.shape[1])
+    both = np.concatenate([_as_void(t1, width), _as_void(t2, width)])
+    both.sort(kind="stable")  # two sorted runs: a merge
+    shared = both[1:][both[1:] == both[:-1]]
+    return shared.view(np.int64).reshape(-1, width)
 
 
 def size_ratio(c1: Corpus, c2: Corpus) -> float:
@@ -109,9 +135,8 @@ def src_subword_overlap(c1: Corpus, c2: Corpus) -> float:
 
 def multi_parallel_overlap(c1: Corpus, c2: Corpus) -> float:
     """Jaccard overlap of the distinct target sentences."""
-    t1 = c1.target_set
-    t2 = c2.target_set
-    return len(t1 & t2) / len(t1 | t2)
+    shared = len(_shared_targets(c1, c2))
+    return shared / (len(c1.target_set) + len(c2.target_set) - shared)
 
 
 def tgt_ngram_overlap(c1: Corpus, c2: Corpus) -> float:
@@ -124,9 +149,9 @@ def tgt_ngram_overlap(c1: Corpus, c2: Corpus) -> float:
     The counts come from one ``np.unique`` over (shared sentence, token)
     keys, and their squares are summed as integers.
     """
-    shared = c1.target_set & c2.target_set
-    lengths = [len(sentence) for sentence in shared]
-    tokens = np.fromiter(chain.from_iterable(shared), dtype=np.int64, count=sum(lengths))
+    shared = _shared_targets(c1, c2)
+    lengths = shared[:, 0]
+    tokens = shared[:, 1:][np.arange(shared.shape[1] - 1) < lengths[:, None]]
     tokens = np.unique(tokens, return_inverse=True)[1]  # dense ids: any int64 token fits 32 bits
     sentence = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
     _, counts = np.unique(sentence << 32 | tokens, return_counts=True)

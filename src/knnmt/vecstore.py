@@ -17,7 +17,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ KMEANS_ITERS = 10
 DEFAULT_TRAIN_SIZE = 65536
 
 _CHUNK_ROWS = 8192  # rows per float64 temporary of the chunked scans
+_COPY_ROWS = 1024  # rows per block of the cell-probe index's transposed key copy
 _LANG_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
 
@@ -177,7 +178,8 @@ def _gamma(n: int, u: float) -> float:
 def _key_norm_bound(norms: np.ndarray, d: int) -> float:
     """K of ``_certified_topk``: an upper bound on the largest norm of d-dimensional keys
     whose float32 squared norms are ``norms`` (inf or NaN when one of those is)."""
-    return float(np.sqrt(float(norms.max(initial=0.0)) * (1 + 2 * _gamma(d, _U32))))
+    bound = float(norms.max(initial=0.0)) * (1 + 2 * _gamma(d, _U32))
+    return math.sqrt(bound)  # np.sqrt's bits, without numpy scalars
 
 
 _SAMPLE_ROWS = 4096  # fewest estimates in the strided sample that a threshold comes from
@@ -206,19 +208,32 @@ def _shortlist(approx: np.ndarray, k: int, slack: float) -> np.ndarray:
     return candidates[near <= _limit(near, k, slack)]
 
 
-def _certified_topk(keys: np.ndarray, norms: np.ndarray, queries: np.ndarray, k: int,
-                    spans: tuple[np.ndarray, np.ndarray] | None = None,
-                    ids: np.ndarray | None = None,
-                    knorm: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact top-k of the rows of ``keys`` in ``spans`` for each row of ``queries``.
+@cache
+def _rounding(d: int) -> tuple[float, float, float]:
+    """The factors of ``_slack`` in dimension d: 1 + gamma_{d+2} and gamma_{d+3} in
+    float64, and gamma_{d+3} in float32."""
+    return 1 + _gamma(d + 2, _U64), _gamma(d + 3, _U64), _gamma(d + 3, _U32)
 
-    Returns one (ids, distances) pair per query, each of min(k, rows
-    searched) entries. ``spans`` is a pair of arrays ``(starts, stops)`` of
-    row ranges, by default the one range of every row; ``ids`` maps a row to
-    the id returned for it, by default the row itself; ``knorm`` is
-    ``_key_norm_bound(norms, d)`` when the caller keeps it. With ``rows`` the
-    rows of the spans in order, row j of the result is
-    ``_topk(squared_distances(keys[rows], queries[j]), ids[rows], k)`` bit for bit,
+
+def _slack(knorm: float, d: int, q: np.ndarray) -> float | None:
+    """2E of ``_certified_topk`` for the query q and key-norm bound K = ``knorm``, or None
+    when K + Q exceeds 2^60 or is not finite (a NaN or inf key or query)."""
+    qscale, g64, g32 = _rounding(d)
+    qnorm = math.sqrt(float(q @ q)) * qscale  # np.sqrt's bits, without numpy scalars
+    if not knorm + qnorm <= 2.0 ** 60:  # True for NaN and inf too
+        return None
+    return 2 * (g32 * (knorm * knorm + 2 * knorm * qnorm) + g64 * (knorm + qnorm) ** 2
+                + (d + 1) * (3 + knorm) * 2.0 ** -149)
+
+
+def _certified_topk(keys: np.ndarray, norms: np.ndarray, queries: np.ndarray, k: int,
+                    knorm: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact top-k of the rows of ``keys`` for each row of ``queries``.
+
+    Returns one (ids, distances) pair per query, each of min(k, n) entries,
+    an id being a row of ``keys``. ``knorm`` is ``_key_norm_bound(norms, d)``
+    when the caller keeps it. Row j of the result is
+    ``_topk(squared_distances(keys, queries[j]), arange(n), k)`` bit for bit,
     so ties break toward the lower id, but only a shortlist is gathered and
     rescored. The rows are ranked by one float32 product laid out as
     ``(rows, queries)``; each query's column is then scaled into a
@@ -231,53 +246,42 @@ def _certified_topk(keys: np.ndarray, norms: np.ndarray, queries: np.ndarray, k:
     - ``norms``, a float32 reduction, is off by at most gamma_d K^2;
     - rounding q to float32 moves k.q by at most u K Q, and the float32 dot
       product is off by at most gamma_d K Q, in any summation order (so a
-      column of a matrix product is bounded as a matrix-vector product is);
+      column of a matrix product is bounded as a matrix-vector product is,
+      and a sum over only the nonzero coordinates of q is bounded too: the
+      others add exact zeros, and gamma_m <= gamma_d for m <= d terms);
+    - scaling by -2 is exact, before the product or after it, as long as
+      nothing overflows, which the 2^60 guard below excludes;
     - the final subtraction rounds once more, by at most u (K^2 + 2 K Q);
     - products that underflow add at most (d + 1)(3 + K) 2^-149.
 
     So |approx - a| <= gamma_{d+3} (K^2 + 2 K Q) + (d + 1)(3 + K) 2^-149.
     The float64 rescoring is off the real distance by at most
     gamma_{d+2} (K + Q)^2 (with the float64 u), and one more float64 u
-    covers rounding the limit. Let E be the sum of these bounds and t the
-    k-th smallest ``approx``. At least k rows rescore to at most
-    t + |q|^2 + E, so every row of the true top-k, ties included, has
+    covers rounding the limit. Let E be the sum of these bounds (``_slack``
+    returns 2E) and t the k-th smallest ``approx``. At least k rows rescore
+    to at most t + |q|^2 + E, so every row of the true top-k, ties included, has
     ``approx <= t + 2E``, and every row outside that shortlist rescores
     strictly worse than the k-th. ``_shortlist`` finds t from a strided
     sample's candidates over many rows: the same t, so the same shortlist,
     row for row. When K + Q exceeds 2^60 (a float32 step could overflow) or
     is not finite (a NaN or inf key or query), every row is rescored for
     that query: the plain exact scan. Such a query takes no column of the
-    product.
+    product. ``_probed_topk`` ranks the spans of a cell-probe search under
+    the same bound, from the query's nonzero coordinates only.
     """
     queries = np.asarray(queries, dtype=np.float64)
     n, d = keys.shape
-    if spans is not None:
-        starts, stops = spans
-        slices = list(map(slice, starts.tolist(), stops.tolist()))
-        ends = np.cumsum(stops - starts)  # where each span ends in the ranking
-        n = int(ends[-1])
-        norms = np.concatenate([norms[s] for s in slices])
     rows_q = list(queries)  # one view per query, made once
     slacks = [None] * len(rows_q)  # 2E of each query that ranks by the float32 product
     if k < n:
         if knorm is None:
             knorm = _key_norm_bound(norms, d)
-        g32, g64 = _gamma(d + 3, _U32), _gamma(d + 3, _U64)
-        qscale, tiny = 1 + _gamma(d + 2, _U64), (d + 1) * (3 + knorm) * 2.0 ** -149
-        for j, q in enumerate(rows_q):
-            qnorm = math.sqrt(float(q @ q)) * qscale  # np.sqrt's bits, without numpy scalars
-            if knorm + qnorm <= 2.0 ** 60:  # False for NaN and inf too
-                slacks[j] = 2 * (g32 * (knorm * knorm + 2 * knorm * qnorm)
-                                 + g64 * (knorm + qnorm) ** 2 + tiny)
+        slacks = [_slack(knorm, d, q) for q in rows_q]
     columns = len(rows_q) - slacks.count(None)
     if columns:
         bounded = queries if columns == len(queries) else queries[
             [j for j, slack in enumerate(slacks) if slack is not None]]
-        q32 = bounded.astype(np.float32).T
-        if spans is None:
-            ranked = keys @ q32
-        else:  # ndarray.dot on contiguous cell keys: as @, with less overhead per small slice
-            ranked = np.concatenate([keys[s].dot(q32) for s in slices])
+        ranked = keys @ bounded.astype(np.float32).T
     found = []
     column = 0  # of ``ranked``: the bounded queries in order
     for q, slack in zip(rows_q, slacks):
@@ -286,14 +290,52 @@ def _certified_topk(keys: np.ndarray, norms: np.ndarray, queries: np.ndarray, k:
             approx = np.multiply(approx, -2.0, out=approx if columns == 1 else None)
             approx += norms
             column += 1
-            rows = _shortlist(approx, k, slack)  # positions in the ranking
+            rows = _shortlist(approx, k, slack)
         else:  # the plain exact scan
             rows = np.arange(n, dtype=np.int64)
-        if spans is not None:  # from positions in the ranking to rows of keys
-            rows += (stops - ends)[np.searchsorted(ends, rows, side="right")]
-        found.append(_topk(squared_distances(keys[rows], q),
-                           rows if ids is None else ids[rows], k))
+        found.append(_topk(squared_distances(keys[rows], q), rows, k))
     return found
+
+
+def _probed_topk(keys: np.ndarray, keys_t: np.ndarray, norms: np.ndarray, ids: np.ndarray,
+                 spans: tuple[np.ndarray, np.ndarray], ends: np.ndarray, q: np.ndarray,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k, for one query q, of the entries ``ids[lo:hi]`` of the spans ``lo:hi``.
+
+    ``spans`` is a pair of arrays ``(starts, stops)``, and ``ends`` the
+    running sum of their lengths: where each span ends when the spans are
+    laid end to end. Column i of ``keys_t`` is the key ``keys[ids[i]]`` and
+    ``norms[i]`` its float32 squared norm. With ``rows`` the positions of
+    the spans in order, the result is
+    ``_topk(squared_distances(keys[ids[rows]], q), ids[rows], k)`` bit for
+    bit, through the certified shortlist of ``_certified_topk``. Each span
+    is ranked as ``(-2 float32(q)[nz]) @ keys_t[nz, lo:hi] + norms[lo:hi]``,
+    nz the nonzero coordinates of the float32 query, so ``keys_t`` is read
+    only in those rows; a dense query reads them all. The zero coordinates
+    would add exact zeros (a non-finite key, whose product with a zero is
+    NaN, makes the bound infinite and takes the plain scan), so the bound of
+    ``_certified_topk`` holds for the shorter sum. The shortlisted entries
+    are rescored from ``keys``, gathered by entry id: a rescored row has the
+    layout and float64 bits of an exact-scan row.
+    """
+    starts, stops = spans
+    slices = list(map(slice, starts.tolist(), stops.tolist()))
+    norms = np.concatenate([norms[s] for s in slices])
+    d = keys.shape[1]
+    slack = _slack(_key_norm_bound(norms, d), d, q) if k < norms.size else None
+    if slack is None:  # the plain scan of every probed entry
+        rows = _ranges(starts, stops - starts)
+    else:
+        q32 = q.astype(np.float32)
+        nz = np.flatnonzero(q32)
+        weights = q32[nz] * np.float32(-2.0)
+        # ndarray.dot: as @, with less overhead per small span
+        approx = np.concatenate([weights.dot(keys_t[nz, s]) for s in slices])
+        approx += norms
+        rows = _shortlist(approx, k, slack)  # positions in the ranking
+        rows += (stops - ends)[np.searchsorted(ends, rows, side="right")]
+    found = ids[rows]
+    return _topk(squared_distances(keys[found], q), found, k)
 
 
 def _stack(found: list[tuple[np.ndarray, np.ndarray]],
@@ -350,13 +392,18 @@ class CellProbeIndex:
     a cell, and cell c holds ``_order[_bounds[c]:_bounds[c + 1]]``. A query
     scans only the ``n_probe`` cells whose centroids are closest, ties by
     cell id, or more until they hold k entries; probing every cell
-    reproduces the exact scan, tie-breaks included. Each probed cell is one
-    contiguous slice of ``_cell_keys``, the keys in ``_order``, which the
-    first search copies with their norms (gathered from ``norms`` when
-    given, as ``ExactScanIndex`` takes them); ``_keys`` stays the store's keys.
-    The probed slices go through the same certified float32 shortlist as
-    ``ExactScanIndex`` (``_certified_topk``), so the result equals a float64
-    scan of every probed entry, ties broken by entry id. ``origin`` says
+    reproduces the exact scan, tie-breaks included. The first search copies
+    the keys in ``_order``, transposed: ``_cell_keys`` is one C-contiguous
+    ``(d, n)`` array whose column i is the key of entry ``_order[i]``, built
+    in blocks of ``_COPY_ROWS`` rows, beside their norms (gathered from
+    ``norms`` when given, as ``ExactScanIndex`` takes them); ``_keys`` stays
+    the store's keys. A probed cell is then a column span of every row, and
+    ``_probed_topk`` ranks it from the rows of the query's nonzero
+    coordinates only: a hashed decode-time query has about 8 of 64. The
+    ranking goes through the same certified float32 shortlist as
+    ``ExactScanIndex`` (``_certified_topk``), and the shortlist is rescored
+    from ``_keys``, so the result equals a float64 scan of every probed
+    entry, ties broken by entry id. ``origin`` says
     where the index came from ("built", "read", or "built, not saved" when
     ``load_datastore`` could not write the cell file) and ``build_seconds``
     the time its k-means run took.
@@ -404,15 +451,28 @@ class CellProbeIndex:
         q = np.asarray(q, dtype=np.float64)
         cdists = squared_distances(self.centroids, q)
         cells = np.argsort(cdists, kind="stable")  # closest first, ties by cell id
+        ends = np.cumsum(self._sizes[cells])  # where each cell ends in the ranking
         # the n_probe closest cells, expanded until they hold k entries
-        enough = int(np.searchsorted(np.cumsum(self._sizes[cells]), k)) + 1
-        cells = cells[:min(max(self.n_probe, enough), self.n_cells)]
+        probe = min(max(self.n_probe, int(np.searchsorted(ends, k)) + 1), self.n_cells)
         if self._cell_keys is None:
-            self._cell_keys = self._keys[self._order]
+            self._cell_keys = _transposed_rows(self._keys, self._order)
             norms = _row_norms(self._keys) if self._norms is None else self._norms
             self._cell_norms = norms[self._order]
-        return _certified_topk(self._cell_keys, self._cell_norms, q[None], k,
-                               (self._bounds[cells], self._bounds[cells + 1]), self._order)[0]
+        cells = cells[:probe]
+        return _probed_topk(self._keys, self._cell_keys, self._cell_norms, self._order,
+                            (self._bounds[cells], self._bounds[cells + 1]), ends[:probe], q, k)
+
+
+def _transposed_rows(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``keys[order].T`` as one C-contiguous ``(d, n)`` array, gathered block by block.
+
+    A block of rows is gathered and transposed while it is in cache, which
+    is several times faster than transposing the whole gather at once.
+    """
+    out = np.empty((keys.shape[1], order.size), dtype=keys.dtype)
+    for start in range(0, order.size, _COPY_ROWS):
+        out[:, start:start + _COPY_ROWS] = keys[order[start:start + _COPY_ROWS]].T
+    return out
 
 
 def _cell_dtype(n_cells: int) -> np.dtype:
@@ -486,9 +546,10 @@ class Datastore:
     store from the store's cell file when a valid one exists. ``norms``, when
     given, are the keys' float32 squared norms (``_finite_norms``), which the
     index then takes instead of computing its own on its first search; a
-    cell-probe index's first search still adds its cell-ordered copy of the
-    keys. None of these is built under a lock; the program searches a store
-    from one thread.
+    cell-probe index's first search still adds one copy of the keys, in cell
+    order and transposed to ``(d, n)`` (``CellProbeIndex``), as many bytes as
+    ``keys``. None of these is built under a lock; the program searches a
+    store from one thread.
     """
 
     def __init__(self, rows: np.ndarray, vocab_size: int,
@@ -937,8 +998,8 @@ def load_datastore(path: str | os.PathLike) -> Datastore:
     A corrupt cell file raises CorruptFileError. An exact-scan store has no
     cell file. The index takes the key norms that ``read_datastore``'s
     finiteness check computed. The first search of a cell-probe index still
-    adds its cell-ordered key copy: a store that is loaded and never searched
-    holds no second set of keys. The store's checks and errors are
+    adds its transposed, cell-ordered key copy: a store that is loaded and
+    never searched holds no second set of keys. The store's checks and errors are
     ``read_datastore``'s.
     """
     store = read_datastore(path)

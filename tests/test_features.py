@@ -123,14 +123,28 @@ class TestMultiParallelOverlap:
         c2 = corpus("bb", [[3]] * 100, shared + only2)
         assert multi_parallel_overlap(c1, c2) == pytest.approx(1 / 3)
 
+    @given(st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=8),
+           st.lists(st.lists(st.integers(0, 2), max_size=6), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_oracle(self, targets1, targets2):
+        # few ids, 0 among them, empty sentences, prefixes and two widths: the sentences
+        # are compared as padded rows, and no padding may make two of them equal
+        c1 = corpus("aa", [[3]] * len(targets1), targets1)
+        c2 = corpus("bb", [[3]] * len(targets2), targets2)
+        t1, t2 = set(map(tuple, targets1)), set(map(tuple, targets2))
+        assert multi_parallel_overlap(c1, c2) == len(t1 & t2) / len(t1 | t2)
+        assert multi_parallel_overlap(c2, c1) == multi_parallel_overlap(c1, c2)
+        assert tgt_ngram_overlap(c1, c2) == keyed_overlap(c1, c2) == tgt_ngram_overlap(c2, c1)
+
 
 def keyed_overlap(c1, c2):
     """The keyed overlap that tgt_ngram_overlap replaced, with each target sentence as
     its own key: the first target per key, unigram count vectors multiplied per shared key."""
     def targets_by_key(c):
+        ids, offsets = c.targets.ids.tolist(), c.targets.offsets.tolist()
         out = {}
-        for key, target in zip(c.target_sentences, c.target_sentences):
-            out.setdefault(key, target)
+        for lo, hi in zip(offsets, offsets[1:]):
+            out.setdefault(tuple(ids[lo:hi]), tuple(ids[lo:hi]))
         return out
 
     targets1 = targets_by_key(c1)

@@ -222,3 +222,71 @@ def test_sampled_threshold_passes_the_full_partition_rows(monkeypatch, n, k):
         want = reference_shortlist(keys, q, ranked[:, j], k)
         assert np.array_equal(rescored[j], keys[want])
         assert_same((got[0][j], got[1][j]), full_scan(keys, q, k))
+
+
+def count_vectors(draw, rows, d):
+    """Signed integer counts over d slots, L2-normalized unless all zero: featurizer keys."""
+    counts = draw(arrays(np.int64, (rows, d), elements=st.integers(-3, 3))).astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    return counts / np.where(norms > 0, norms, 1.0)[:, None]
+
+
+@st.composite
+def sparse_cases(draw):
+    half = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        base = count_vectors(draw, half, d).astype(np.float32)
+    else:
+        base = draw(arrays(np.float32, (half, d), elements=st.floats(-1, 1, width=32)))
+    keys = np.concatenate([base, base])  # every key twice: ties
+    kind = draw(st.sampled_from(["zero", "one", "signed-zeros", "counts"]))
+    q = np.zeros(d)
+    if kind == "one":
+        q[draw(st.integers(0, d - 1))] = draw(st.floats(-1, 1).filter(bool))
+    elif kind == "signed-zeros":  # -0.0 is a zero coordinate too
+        # 1e-40 is a float32 subnormal; 1e-50 rounds to a float32 zero
+        values = st.sampled_from([0.0, -0.0, 0.5, -1.0, 1e-40, 1e-50])
+        q = draw(arrays(np.float64, d, elements=values))
+    elif kind == "counts":  # the featurizer's query; all zero when its hashes cancel
+        q = count_vectors(draw, 1, d)[0]
+    # k up to every entry: few probed entries expand the probe
+    k = draw(st.integers(1, 2 * half))
+    n_cells = draw(st.integers(1, 2 * half))
+    n_probe = draw(st.integers(1, n_cells))
+    return (as_row_view(keys) if draw(st.booleans()) else keys), q, k, n_cells, n_probe
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_cases())
+def test_sparse_queries_match_the_full_scan(case):
+    """The cell-probe ranking reads only a query's nonzero coordinates; all-zero, one-hot,
+    signed-zero and count-vector queries still give the float64 scan's result."""
+    keys, q, k, n_cells, n_probe = case
+    part = CellProbeIndex(keys, n_cells, n_probe)
+    assert_same(part.search(q, k), full_scan(keys, q, k, probed_entries(part, q, k)))
+    full = CellProbeIndex(keys, n_cells, n_cells)
+    assert_same(full.search(q, k), ExactScanIndex(keys).search(q, k))
+    assert_same(full.search(q, k), full_scan(keys, q, k))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN query
+def test_nan_query_rescores_every_probed_entry(monkeypatch):
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(50, 8)).astype(np.float32)
+    keys = as_row_view(np.concatenate([base, base]))
+    index = CellProbeIndex(keys, 10, 3)
+    q = np.zeros(8)
+    q[2] = np.nan
+    rescored = []
+
+    def recording(rows, query):
+        rescored.append(rows.shape[0])
+        return squared_distances(rows, query)
+
+    monkeypatch.setattr(vecstore, "squared_distances", recording)
+    got = index.search(q, 5)
+    monkeypatch.undo()
+    # the centroid ranking, then every probed entry: no float32 shortlist
+    assert rescored == [index.n_cells, len(probed_entries(index, q, 5))]
+    assert_same(got, full_scan(keys, q, 5, probed_entries(index, q, 5)))

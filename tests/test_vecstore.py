@@ -279,8 +279,10 @@ class TestLazyIndex:
         index = store.index
         assert index._cell_keys is None and index._cell_norms is None
         query(store, rng.normal(size=8), 5)
-        copy = index._cell_keys
-        assert np.array_equal(copy, store.keys[index._order])
+        copy = index._cell_keys  # transposed: column i is the key of entry _order[i]
+        assert np.array_equal(copy, store.keys[index._order].T)
+        assert copy.flags.c_contiguous
+        assert copy.nbytes == store.keys.nbytes  # one copy of the keys, not two
         for _ in range(3):
             query(store, rng.normal(size=8), 5)
             assert index._cell_keys is copy
